@@ -60,6 +60,7 @@ from .masked import (
 from .model import (
     FactorModel,
     LossValue,
+    Objective,
     canonicalize,
     fitted_matrix,
     flatten,

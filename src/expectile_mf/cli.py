@@ -264,15 +264,18 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
     warm = None
     if warm_start_path is not None:
         warm, _, _ = load_model_json(warm_start_path)
-    config = FitConfig(
-        tau=tau,
-        k=rank,
-        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
-        n_restarts=restarts,
-        seed=seed,
-        orient_pivot=_default_pivot(x.n_rows, orient_pivot),
-        warm_start=warm,
-    )
+    try:
+        config = FitConfig(
+            tau=tau,
+            k=rank,
+            opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
+            n_restarts=restarts,
+            seed=seed,
+            orient_pivot=_default_pivot(x.n_rows, orient_pivot),
+            warm_start=warm,
+        )
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from None
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
     save_model_json(output, report.model, tau=tau, normalization=info)

@@ -81,6 +81,8 @@ class NormalizationInfo:
     col_means: np.ndarray
 
     def __post_init__(self):
+        if not (np.isfinite(self.mean) and np.isfinite(self.std)):
+            raise ValueError(f"mean and std must be finite, got {self.mean} and {self.std}")
         if self.std <= 0.0:
             raise ValueError(f"std must be positive, got {self.std}")
         object.__setattr__(self, "row_means", _frozen_array(self.row_means, float))
@@ -96,8 +98,11 @@ def global_stats(x: MaskedMatrix, ddof: int = 0) -> tuple[float, float]:
     obs = x.observed_values()
     if obs.size < 2:
         raise DegenerateMatrix(f"need >= 2 observed entries, have {obs.size}")
-    mean = float(np.mean(obs))
-    std = float(np.std(obs, ddof=ddof))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(obs))
+        std = float(np.std(obs, ddof=ddof))
+    if not (np.isfinite(mean) and np.isfinite(std)):
+        raise DegenerateMatrix(f"observed entries overflow: mean {mean}, std {std}")
     if std <= 0.0:
         raise DegenerateMatrix("observed entries have zero variance")
     return mean, std
@@ -170,6 +175,7 @@ def write_matrix_csv(x: MaskedMatrix, path, header: bool = False) -> None:
 def read_matrix_csv(path, header: bool = False) -> MaskedMatrix:
     values: list[list[float]] = []
     mask: list[list[bool]] = []
+    line_numbers: list[int] = []
     width = None
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -196,6 +202,13 @@ def read_matrix_csv(path, header: bool = False) -> MaskedMatrix:
                 mrow.append(True)
             values.append(vrow)
             mask.append(mrow)
+            line_numbers.append(line_no)
     if not values:
         raise ParseError(0, "no matrix rows found")
-    return MaskedMatrix(np.array(values), np.array(mask))
+    arr = np.array(values)
+    # One vectorized pass; missing cells already hold 0.0.
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(line_numbers[i], f"column {j + 1}: non-finite value {float(arr[i, j])!r}")
+    return MaskedMatrix(arr, np.array(mask))

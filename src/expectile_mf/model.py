@@ -89,31 +89,78 @@ def _check_dims(model: FactorModel, x: MaskedMatrix) -> None:
         )
 
 
+class Objective:
+    """Loss and gradient of one fit as a function of the flat parameter vector.
+
+    Built once per fit: holds the observed values with unobserved cells
+    zeroed, the mask as floats, the observed count and two n x p work
+    buffers that every call reuses. Calls return a fresh gradient array, so
+    callers may keep it; calls on one instance must not overlap, since they
+    share the buffers.
+
+    Residuals >= 0 get weight tau, residuals < 0 get 1 - tau; unobserved
+    cells contribute nothing to either the loss or the gradient. The
+    arithmetic is that of the masked np.where form, bit for bit: masked
+    cells hold exact zeros, and of max(resid, 0) * tau and
+    min(resid, 0) * (1 - tau) one term is always exactly zero.
+    """
+
+    def __init__(self, x: MaskedMatrix, tau: "float | Tau", k: int):
+        self.n_obs = x.observed_count()
+        if self.n_obs == 0:
+            raise EmptyMask("no observed cells")
+        self.tau = as_tau(tau).value
+        self.n, self.p, self.k = x.n_rows, x.n_cols, k
+        self.size = (self.n + self.p) * (1 + k)
+        self._values = np.where(x.mask, x.values, 0.0)
+        self._mask = x.mask.astype(float)
+        self._resid = np.empty((self.n, self.p))
+        self._wr = np.empty((self.n, self.p))
+
+    def __call__(self, vec) -> "tuple[float, np.ndarray]":
+        vec = np.asarray(vec, dtype=float).ravel()
+        n, p, k = self.n, self.p, self.k
+        if vec.size != self.size:
+            raise LengthMismatch(f"expected length {self.size} for ({n}, {p}, {k}), got {vec.size}")
+        r = vec[:n]
+        c = vec[n : n + p]
+        u = vec[n + p : n + p + n * k].reshape(n, k)
+        v = vec[n + p + n * k :].reshape(p, k)
+        t = self.tau
+        resid, wr = self._resid, self._wr
+        np.add(r[:, None], c[None, :], out=resid)
+        np.matmul(u, v.T, out=wr)
+        resid += wr  # the fitted matrix
+        # values - fitted * mask: unobserved cells get 0 - (+-0) = +0, and
+        # observed cells see the fitted value unchanged.
+        resid *= self._mask
+        np.subtract(self._values, resid, out=resid)
+        np.maximum(resid, 0.0, out=wr)
+        wr *= t
+        neg = np.minimum(resid, 0.0)
+        neg *= 1.0 - t
+        wr += neg  # w * resid: zero wherever unobserved, since resid is
+        np.multiply(wr, resid, out=neg)
+        loss = float(np.sum(neg) / self.n_obs)
+        coef = -2.0 / self.n_obs
+        grad = np.concatenate(
+            [
+                coef * wr.sum(axis=1),
+                coef * wr.sum(axis=0),
+                coef * (wr @ v).ravel(),
+                coef * (wr.T @ u).ravel(),
+            ]
+        )
+        return loss, grad
+
+
 def loss_and_gradient(model: FactorModel, x: MaskedMatrix, tau: "float | Tau") -> LossValue:
     """Mean weighted squared residual over observed cells, with gradient.
 
-    Residuals >= 0 get weight tau, residuals < 0 get 1 - tau; unobserved
-    cells contribute nothing to either the loss or the gradient.
+    One-off evaluation through Objective; a fit builds its Objective once.
     """
     _check_dims(model, x)
-    n_obs = x.observed_count()
-    if n_obs == 0:
-        raise EmptyMask("no observed cells")
-    t = as_tau(tau).value
-    resid = np.where(x.mask, x.values - fitted_matrix(model), 0.0)
-    w = np.where(resid >= 0.0, t, 1.0 - t)
-    wr = w * resid  # zero wherever unobserved, since resid is
-    loss = float(np.sum(wr * resid) / n_obs)
-    coef = -2.0 / n_obs
-    grad = np.concatenate(
-        [
-            coef * wr.sum(axis=1),
-            coef * wr.sum(axis=0),
-            coef * (wr @ model.v).ravel(),
-            coef * (wr.T @ model.u).ravel(),
-        ]
-    )
-    return LossValue(loss, grad)
+    return LossValue(*Objective(x, tau, model.k)(flatten(model)))
 
 
 def flatten(model: FactorModel) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import DimensionMismatch, UnnormalizedDataWarning
 from .expectiles import Tau, as_tau
 from .masked import MaskedMatrix, global_stats
-from .model import FactorModel, canonicalize, flatten, loss_and_gradient, orient_rank1, unflatten
+from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
 from .optim import OptimizeOptions, OptimizeResult, minimize
 
 # Looser than any real normalization, tight enough to catch raw data.
@@ -41,6 +41,8 @@ class FitConfig:
             raise ValueError("k must be >= 1")
         if self.n_restarts < 1:
             raise ValueError("n_restarts must be >= 1")
+        if self.warm_start is not None and self.n_restarts > 1:
+            raise ValueError("a warm start runs one optimization; it cannot take n_restarts > 1")
 
 
 @dataclass
@@ -85,7 +87,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     """Best-of-restarts fit of the factor model to normalized data.
 
     A warm start overrides every initialization (including the additive
-    terms) and collapses the run to a single optimization. Restart winners
+    terms) and runs a single optimization. Restart winners
     are chosen by final loss with ties broken by restart index.
     """
     _warn_if_unnormalized(x)
@@ -96,11 +98,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
         raise DimensionMismatch(
             f"means have lengths ({row_means.size}, {col_means.size}), data is {n}x{p}"
         )
-    tau = config.tau
-
-    def objective(vec):
-        value = loss_and_gradient(unflatten(vec, n, p, k), x, tau)
-        return value.loss, value.gradient
+    objective = Objective(x, config.tau, k)
 
     if config.warm_start is not None:
         ws = config.warm_start

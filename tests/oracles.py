@@ -1,7 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written as plain scalar loops or
-brute-force searches, sharing no code path with the package.
+brute-force searches, sharing no code path with the package, except
+where_loss_and_gradient: the vectorized masked loss kept as the bit-exact
+reference for the package's fused kernel.
 """
 
 import numpy as np
@@ -112,6 +114,32 @@ def loop_loss_and_gradient(r, c, u, v, values, mask, tau):
                 gu[i][l] += -2.0 * w * e * v[j][l] / n_obs
                 gv[j][l] += -2.0 * w * e * u[i][l] / n_obs
     return loss / n_obs, np.array(gr), np.array(gc), np.array(gu), np.array(gv)
+
+
+def where_loss_and_gradient(r, c, u, v, values, mask, tau):
+    """Masked loss and flat gradient in the np.where formulation.
+
+    The fused kernel must reproduce these bits exactly: same reductions, same
+    matrix products, same order of operations.
+    """
+    r, c, u, v = (np.asarray(a, dtype=float) for a in (r, c, u, v))
+    values, mask = np.asarray(values, dtype=float), np.asarray(mask, dtype=bool)
+    n_obs = int(mask.sum())
+    fitted = r[:, None] + c[None, :] + u @ v.T
+    resid = np.where(mask, values - fitted, 0.0)
+    w = np.where(resid >= 0.0, tau, 1.0 - tau)
+    wr = w * resid
+    loss = float(np.sum(wr * resid) / n_obs)
+    coef = -2.0 / n_obs
+    grad = np.concatenate(
+        [
+            coef * wr.sum(axis=1),
+            coef * wr.sum(axis=0),
+            coef * (wr @ v).ravel(),
+            coef * (wr.T @ u).ravel(),
+        ]
+    )
+    return loss, grad
 
 
 def icc_two_pass(values, groups):

@@ -208,6 +208,25 @@ class TestExitCodes:
         out = tmp_path / "model.json"
         assert run(["fit", "--input", bad, "--output", out]) == 2
 
+    def test_non_finite_cell_is_two_with_location(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\n3,inf\n")
+        assert run(["fit", "--input", bad, "--output", tmp_path / "model.json"]) == 2
+        assert "line 2: column 2: non-finite value inf" in capsys.readouterr().err
+
+    def test_overflowing_std_is_two(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1e308,-1e308\n1e308,-1e308\n")
+        assert run(["fit", "--input", bad, "--output", tmp_path / "model.json"]) == 2
+
+    def test_warm_start_with_restarts_is_one(self, sim_csv, tmp_path):
+        first = tmp_path / "m1.json"
+        assert run(["fit", "--input", sim_csv, "--seed", 1, "--output", first]) == 0
+        code = run(["fit", "--input", sim_csv, "--warm-start", first, "--restarts", 4,
+                    "--output", tmp_path / "m2.json"])
+        assert code == 1
+        assert not (tmp_path / "m2.json").exists()
+
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1,2\n3,oops\n")

@@ -103,6 +103,17 @@ class TestGlobalStats:
         with pytest.raises(ValueError):
             NormalizationInfo(mean=0.0, std=0.0, row_means=np.zeros(2), col_means=np.zeros(2))
 
+    @pytest.mark.parametrize("mean,std", [(np.inf, 1.0), (np.nan, 1.0), (0.0, np.inf), (0.0, np.nan)])
+    def test_normalization_info_rejects_non_finite(self, mean, std):
+        with pytest.raises(ValueError):
+            NormalizationInfo(mean=mean, std=std, row_means=np.zeros(2), col_means=np.zeros(2))
+
+    @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]], [[1.0, 2.0], [np.inf, 3.0]]])
+    def test_overflowing_or_infinite_entries_degenerate(self, values):
+        x = MaskedMatrix(values, np.ones((2, 2), dtype=bool))
+        with pytest.raises(DegenerateMatrix):
+            global_stats(x)
+
     def test_ddof_switch(self):
         x = MaskedMatrix([[1.0, 0.0], [3.0, 0.0]], [[True, False], [True, False]])
         _, std1 = global_stats(x, ddof=1)
@@ -238,6 +249,15 @@ class TestMatrixCsv:
         with pytest.raises(ParseError) as err:
             read_matrix_csv(path)
         assert err.value.line_number == 2
+
+    @pytest.mark.parametrize("cell", ["inf", "-Infinity", "-nan", "1e999"])
+    def test_non_finite_cell_located(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"c0,c1,c2\n1,2,3\n\n4,5,{cell}\n")
+        with pytest.raises(ParseError) as err:
+            read_matrix_csv(path, header=True)
+        assert err.value.line_number == 4
+        assert "column 3" in str(err.value)
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"

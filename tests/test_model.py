@@ -9,6 +9,7 @@ from expectile_mf import (
     FactorModel,
     LengthMismatch,
     MaskedMatrix,
+    Objective,
     RankNotOne,
     ZeroColumnWarning,
     canonicalize,
@@ -22,7 +23,8 @@ from expectile_mf import (
     unflatten,
 )
 from expectile_mf.masked import NormalizationInfo
-from oracles import loop_loss_and_gradient
+from expectile_mf.util import map_indexed
+from oracles import loop_loss_and_gradient, where_loss_and_gradient
 
 
 def random_model(rng, n, p, k):
@@ -153,6 +155,67 @@ class TestLossAndGradient:
         x = MaskedMatrix(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
         with pytest.raises(EmptyMask):
             loss_and_gradient(model, x, 0.5)
+
+
+def poisoned_instance(rng, n, p, k):
+    """Random model and data whose unobserved cells hold NaN sentinels."""
+    model, x = random_instance(rng, n=n, p=p, k=k)
+    return model, MaskedMatrix(np.where(x.mask, x.values, np.nan), x.mask)
+
+
+class TestObjective:
+    def test_bit_identical_to_where_oracle(self, rng):
+        for k in (1, 3):
+            for t in (0.1, 0.5, 0.9):
+                sizes = [tuple(int(d) for d in rng.integers(2, 40, size=2)) for _ in range(3)]
+                for n, p in sizes + [(150, 220)]:
+                    model, x = poisoned_instance(rng, n, p, k)
+                    loss, grad = Objective(x, t, k)(flatten(model))
+                    o_loss, o_grad = where_loss_and_gradient(
+                        model.r, model.c, model.u, model.v, x.values, x.mask, t
+                    )
+                    assert loss == o_loss
+                    assert np.array_equal(grad, o_grad)
+
+    def test_reuse_leaks_no_state(self, rng):
+        model, x = poisoned_instance(rng, 13, 17, 3)
+        vec1 = flatten(model)
+        vec2 = vec1 + rng.normal(size=vec1.size)
+        obj = Objective(x, 0.3, 3)
+        first = obj(vec1)
+        kept = first[1].copy()
+        obj(vec2)
+        again = obj(vec1)
+        fresh = Objective(x, 0.3, 3)(vec1)
+        assert again[0] == fresh[0]
+        assert np.array_equal(again[1], fresh[1])
+        # Each call hands out its own gradient; later calls must not write into it.
+        assert np.array_equal(first[1], kept)
+        assert again[1] is not first[1]
+
+    def test_concurrent_objectives_match_sequential(self, rng):
+        jobs = []
+        for k, t in ((1, 0.1), (3, 0.9), (2, 0.5)):
+            model, x = poisoned_instance(rng, 60, 50, k)
+            vecs = [flatten(model) + rng.normal(size=flatten(model).size) for _ in range(30)]
+            jobs.append((x, t, k, vecs))
+
+        def run(job):
+            x, t, k, vecs = job
+            obj = Objective(x, t, k)
+            return [obj(vec) for vec in vecs]
+
+        sequential = map_indexed(run, jobs, threads=1)
+        threaded = map_indexed(run, jobs, threads=3)
+        for seq_job, thr_job in zip(sequential, threaded):
+            for (l1, g1), (l2, g2) in zip(seq_job, thr_job):
+                assert l1 == l2
+                assert np.array_equal(g1, g2)
+
+    def test_length_mismatch(self, rng):
+        _, x = random_instance(rng, n=3, p=4, k=1)
+        with pytest.raises(LengthMismatch):
+            Objective(x, 0.5, 1)(np.zeros(7))
 
 
 class TestFlattenUnflatten:

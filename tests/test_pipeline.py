@@ -45,6 +45,12 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(tau=0.5, k=1, n_restarts=0)
 
+    def test_warm_start_rejects_restarts(self):
+        warm = initial_model(np.zeros(3), np.zeros(4), 1, seed=0)
+        FitConfig(tau=0.5, k=1, warm_start=warm)
+        with pytest.raises(ValueError):
+            FitConfig(tau=0.5, k=1, n_restarts=4, warm_start=warm)
+
 
 class TestInitialModel:
     def test_additive_terms_are_means(self):
