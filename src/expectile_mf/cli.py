@@ -29,7 +29,7 @@ from .analysis import (
     init_resilience,
     rank_sweep,
 )
-from .errors import ExpectileMFError, ParseError
+from .errors import ExpectileMFError, ParseError, TooFewGroups
 from .expectiles import marginal_expectile_curves
 from .ingest import bin_records, filter_and_normalize, read_records_csv
 from .masked import (
@@ -40,7 +40,7 @@ from .masked import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .model import load_model_json, save_model_json
+from .model import model_from_dict, save_model_json
 from .optim import ALGORITHMS, OptimizeOptions
 from .pipeline import FitConfig, FitReport, fit, tau_sweep
 from .simulate import SimulationSpec, generate
@@ -86,18 +86,15 @@ def _resolve_seed(seed, entropy) -> int:
     return DEFAULT_SEED if seed is None else seed
 
 
-def _parse_floats(text) -> list[float]:
+def _parse_list(text, kind) -> list:
+    """Non-empty comma-separated list of kind (float or int)."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
-        raise click.UsageError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _parse_ints(text) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError:
-        raise click.UsageError(f"expected comma-separated integers, got {text!r}") from None
+        values = []
+    if not values:
+        raise click.UsageError(f"expected comma-separated {kind.__name__}s, got {text!r}")
+    return values
 
 
 def _parse_algorithms(text) -> list[str]:
@@ -106,6 +103,29 @@ def _parse_algorithms(text) -> list[str]:
         if algo not in ALGORITHMS:
             raise click.UsageError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
     return algos
+
+
+def _load_json(path, parse):
+    """Return parse(document) of a JSON input file; a malformed one is a data error naming it."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(json.load(fh))
+    except (KeyError, TypeError, ValueError, ExpectileMFError) as exc:
+        raise ExpectileMFError(f"{path}: {type(exc).__name__}: {exc}") from None
+
+
+def _with_options(options):
+    def wrap(fn):
+        for opt in reversed(options):
+            fn = opt(fn)
+        return fn
+    return wrap
+
+
+_seed_options = [
+    click.option("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})."),
+    click.option("--entropy", is_flag=True, help="Use a fresh random seed instead of the default."),
+]
 
 
 @click.group()
@@ -138,8 +158,7 @@ def cli(ctx, threads):
 @click.option("--c-sd", type=float, default=1.0, show_default=True)
 @click.option("--u-sd", type=float, default=1.0, show_default=True)
 @click.option("--v-sd", type=float, default=1.0, show_default=True)
-@click.option("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED}).")
-@click.option("--entropy", is_flag=True, help="Use a fresh random seed instead of the default.")
+@_with_options(_seed_options)
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
 def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, entropy, out):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
@@ -156,11 +175,7 @@ def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, ent
     _write_json(
         sidecar,
         {
-            "spec": {
-                "m": rows, "n": cols, "r_sd": r_sd, "c_sd": c_sd, "u_sd": u_sd,
-                "v_sd": v_sd, "sigma": sigma, "na_portion": na,
-                "true_rank": true_rank, "seed": seed,
-            },
+            "spec": asdict(spec),
             "true_r": sim.true_r.tolist(),
             "true_c": sim.true_c.tolist(),
             "true_u": sim.true_u.ravel().tolist(),
@@ -176,28 +191,12 @@ def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, ent
 # ---------------------------------------------------------------------------
 
 
-def _load_input_matrix(path, header):
-    return read_matrix_csv(path, header=header)
-
-
-def _normalization_from_json(path) -> NormalizationInfo:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return NormalizationInfo(
-        mean=float(doc["mean"]),
-        std=float(doc["std"]),
-        row_means=np.asarray(doc["row_means"], dtype=float),
-        col_means=np.asarray(doc["col_means"], dtype=float),
-    )
-
-
 def _prepare_fit_input(input_path, header, normalization_path, no_normalize):
     """Returns (normalized matrix, info). Raw input is normalized here unless
     a precomputed normalization sidecar is supplied or normalization is off."""
-    x = _load_input_matrix(input_path, header)
+    x = read_matrix_csv(input_path, header=header)
     if normalization_path is not None:
-        info = _normalization_from_json(normalization_path)
-        return x, info
+        return x, _load_json(normalization_path, NormalizationInfo.from_dict)
     if no_normalize:
         info = NormalizationInfo(
             mean=0.0, std=1.0, row_means=masked_row_means(x), col_means=masked_col_means(x)
@@ -229,8 +228,7 @@ _fit_options = [
     click.option("--rank", type=int, default=1, show_default=True),
     click.option("--algorithm", type=click.Choice(ALGORITHMS), default="lbfgs", show_default=True),
     click.option("--restarts", type=int, default=1, show_default=True),
-    click.option("--seed", type=int, default=None),
-    click.option("--entropy", is_flag=True),
+    *_seed_options,
     click.option("--grad-tol", type=float, default=1e-6, show_default=True),
     click.option("--max-iters", type=int, default=500, show_default=True),
     click.option("--orient-pivot", type=int, default=None,
@@ -239,14 +237,6 @@ _fit_options = [
                  default=None, help="JSON sidecar with mean/std/row/col means of the input."),
     click.option("--no-normalize", is_flag=True, help="Treat the input as already normalized."),
 ]
-
-
-def _with_options(options):
-    def wrap(fn):
-        for opt in reversed(options):
-            fn = opt(fn)
-        return fn
-    return wrap
 
 
 @cli.command(name="fit")
@@ -263,19 +253,16 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
     x, info = _prepare_fit_input(input_path, header, normalization_path, no_normalize)
     warm = None
     if warm_start_path is not None:
-        warm, _, _ = load_model_json(warm_start_path)
-    try:
-        config = FitConfig(
-            tau=tau,
-            k=rank,
-            opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
-            n_restarts=restarts,
-            seed=seed,
-            orient_pivot=_default_pivot(x.n_rows, orient_pivot),
-            warm_start=warm,
-        )
-    except ValueError as exc:
-        raise click.UsageError(str(exc)) from None
+        warm, _, _ = _load_json(warm_start_path, model_from_dict)
+    config = FitConfig(
+        tau=tau,
+        k=rank,
+        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
+        n_restarts=restarts,
+        seed=seed,
+        orient_pivot=_default_pivot(x.n_rows, orient_pivot),
+        warm_start=warm,
+    )
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
     save_model_json(output, report.model, tau=tau, normalization=info)
@@ -302,9 +289,7 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
     started = time.perf_counter()
     seed = _resolve_seed(seed, entropy)
-    tau_values = _parse_floats(taus)
-    if not tau_values:
-        raise click.UsageError("--taus must list at least one value")
+    tau_values = _parse_list(taus, float)
     x, info = _prepare_fit_input(input_path, header, normalization_path, no_normalize)
     config = FitConfig(
         tau=0.5,
@@ -350,10 +335,8 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
 def expectiles(input_path, header, taus, out):
     """Marginal expectile curves per matrix row (long CSV: row_index, tau, expectile)."""
     started = time.perf_counter()
-    tau_values = _parse_floats(taus)
-    if not tau_values:
-        raise click.UsageError("--taus must list at least one value")
-    x = _load_input_matrix(input_path, header)
+    tau_values = _parse_list(taus, float)
+    x = read_matrix_csv(input_path, header=header)
     curves = marginal_expectile_curves(x, tau_values)
     rows = [
         [i, tau_values[j], curves[i, j]]
@@ -387,8 +370,11 @@ def icc_cmd(input_path, out):
                 values.append(float(parts[1]))
             except ValueError:
                 raise ParseError(line_no, f"bad value {parts[1]!r}") from None
+    n_groups = len(set(groups))
+    if n_groups < 2:
+        raise TooFewGroups(f"{input_path}: need at least 2 distinct groups, got {n_groups}")
     value = icc(GroupedSeries(np.asarray(values), np.asarray(groups)))
-    _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": len(set(groups))})
+    _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": n_groups})
     _manifest(Path(out), "icc", {"input": str(input_path)}, [], [input_path], [out], started)
     click.echo(f"icc {_fmt(value)}")
 
@@ -415,15 +401,7 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
         [[j, pid, day.isoformat()] for j, (pid, day) in enumerate(kept_labels)],
     )
     norm_path = output.with_name(output.stem + ".normalization.json")
-    _write_json(
-        norm_path,
-        {
-            "mean": info.mean,
-            "std": info.std,
-            "row_means": info.row_means.tolist(),
-            "col_means": info.col_means.tolist(),
-        },
-    )
+    _write_json(norm_path, info.to_dict())
     _manifest(
         output, "ingest",
         {"input": str(input_path), "max_missing": max_missing,
@@ -439,7 +417,7 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
 def band_curves_cmd(model_path, out):
     """Lower/center/upper day curves from a rank-1 model (long CSV: x, series, value)."""
     started = time.perf_counter()
-    model, _, info = load_model_json(model_path)
+    model, _, info = _load_json(model_path, model_from_dict)
     if info is None:
         raise click.UsageError(f"{model_path} carries no normalization info")
     lower, center, upper = band_curves(model, info)
@@ -461,23 +439,18 @@ def bench():
     """Seeded simulation studies (CSV tables plus a JSON summary)."""
 
 
-def _sim_spec_options(fn):
-    opts = [
-        click.option("--rows", type=int, default=200, show_default=True),
-        click.option("--cols", type=int, default=200, show_default=True),
-        click.option("--true-rank", type=int, default=2, show_default=True),
-        click.option("--sigma", type=float, default=0.3, show_default=True),
-        click.option("--na", type=float, default=0.3, show_default=True),
-        click.option("--seed", type=int, default=None),
-        click.option("--entropy", is_flag=True),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_sim_spec_options = [
+    click.option("--rows", type=int, default=200, show_default=True),
+    click.option("--cols", type=int, default=200, show_default=True),
+    click.option("--true-rank", type=int, default=2, show_default=True),
+    click.option("--sigma", type=float, default=0.3, show_default=True),
+    click.option("--na", type=float, default=0.3, show_default=True),
+    *_seed_options,
+]
 
 
 @bench.command(name="compare-algos")
-@_sim_spec_options
+@_with_options(_sim_spec_options)
 @click.option("--datasets", type=int, default=10, show_default=True)
 @click.option("--inits", type=int, default=10, show_default=True)
 @click.option("--tau", type=float, default=0.2, show_default=True)
@@ -526,8 +499,7 @@ def compare_algos_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, data
 @click.option("--algorithm", type=click.Choice(ALGORITHMS), default="cg", show_default=True)
 @click.option("--grad-tol", type=float, default=1e-9, show_default=True)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
-@click.option("--seed", type=int, default=None)
-@click.option("--entropy", is_flag=True)
+@_with_options(_seed_options)
 @click.option("--out-loss-csv", type=click.Path(), required=True)
 @click.option("--out-mad-csv", type=click.Path(), required=True)
 @click.pass_context
@@ -536,7 +508,7 @@ def resilience_cmd(ctx, input_path, header, trials, tau, rank, algorithm, grad_t
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
     started = time.perf_counter()
     seed = _resolve_seed(seed, entropy)
-    x = _load_input_matrix(input_path, header)
+    x = read_matrix_csv(input_path, header=header)
     config = FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
@@ -562,7 +534,7 @@ def resilience_cmd(ctx, input_path, header, trials, tau, rank, algorithm, grad_t
 
 
 @bench.command(name="rank-sweep")
-@_sim_spec_options
+@_with_options(_sim_spec_options)
 @click.option("--ranks", default="1,2,3,4", show_default=True)
 @click.option("--tau", "--taus", "taus", default="0.1", show_default=True,
               help="Comma-separated tau values.")
@@ -582,8 +554,8 @@ def rank_sweep_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, ranks, 
                           true_rank=true_rank, seed=seed)
     result = rank_sweep(
         spec,
-        _parse_floats(taus),
-        _parse_ints(ranks),
+        _parse_list(taus, float),
+        _parse_list(ranks, int),
         _parse_algorithms(algorithms),
         n_trials=trials,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
@@ -609,20 +581,19 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False, obj={})
         return 0
-    except click.UsageError as exc:
-        exc.show(file=sys.stderr)
-        return 1
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
     except click.exceptions.Abort:
         return 1
-    except ExpectileMFError as exc:
+    except (ExpectileMFError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        # The config types (FitConfig, OptimizeOptions, SimulationSpec, Tau)
+        # reject option values with ValueError; input readers raise ExpectileMFError.
+        print(f"Error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,6 +65,10 @@ class EmptyInput(ExpectileMFError):
     """An input stream or file contained no records."""
 
 
+class TooFewGroups(ExpectileMFError):
+    """Grouped data spans fewer than two distinct groups."""
+
+
 class ZeroColumnWarning(UserWarning):
     """A multiplicative-row column had (near-)zero norm and was left unscaled."""
 

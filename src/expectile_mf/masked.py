@@ -88,6 +88,25 @@ class NormalizationInfo:
         object.__setattr__(self, "row_means", _frozen_array(self.row_means, float))
         object.__setattr__(self, "col_means", _frozen_array(self.col_means, float))
 
+    def to_dict(self) -> dict:
+        """JSON form, shared by the ingest sidecar and the model file."""
+        return {
+            "mean": self.mean,
+            "std": self.std,
+            "row_means": self.row_means.tolist(),
+            "col_means": self.col_means.tolist(),
+        }
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "NormalizationInfo":
+        """Inverse of to_dict; raises KeyError, TypeError or ValueError on a bad document."""
+        return cls(
+            mean=float(doc["mean"]),
+            std=float(doc["std"]),
+            row_means=np.asarray(doc["row_means"], dtype=float),
+            col_means=np.asarray(doc["col_means"], dtype=float),
+        )
+
 
 def global_stats(x: MaskedMatrix, ddof: int = 0) -> tuple[float, float]:
     """Mean and std over observed entries only.

@@ -226,7 +226,7 @@ def model_to_dict(
     tau: "float | Tau | None" = None,
     normalization: "NormalizationInfo | None" = None,
 ) -> dict:
-    doc = {
+    return {
         "n": model.n,
         "p": model.p,
         "k": model.k,
@@ -235,16 +235,8 @@ def model_to_dict(
         "c": model.c.tolist(),
         "u": model.u.ravel().tolist(),
         "v": model.v.ravel().tolist(),
-        "normalization": None,
+        "normalization": normalization.to_dict() if normalization is not None else None,
     }
-    if normalization is not None:
-        doc["normalization"] = {
-            "mean": normalization.mean,
-            "std": normalization.std,
-            "row_means": normalization.row_means.tolist(),
-            "col_means": normalization.col_means.tolist(),
-        }
-    return doc
 
 
 def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, NormalizationInfo | None]":
@@ -255,15 +247,8 @@ def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, Normalizatio
         np.asarray(doc["u"], dtype=float).reshape(n, k),
         np.asarray(doc["v"], dtype=float).reshape(p, k),
     )
-    info = None
-    if doc.get("normalization") is not None:
-        nd = doc["normalization"]
-        info = NormalizationInfo(
-            mean=float(nd["mean"]),
-            std=float(nd["std"]),
-            row_means=np.asarray(nd["row_means"], dtype=float),
-            col_means=np.asarray(nd["col_means"], dtype=float),
-        )
+    nd = doc.get("normalization")
+    info = NormalizationInfo.from_dict(nd) if nd is not None else None
     tau = doc.get("tau")
     return model, (float(tau) if tau is not None else None), info
 

@@ -57,7 +57,7 @@ class OptimizeOptions:
         c2 = self.effective_c2()
         if not 0.0 < self.c1 < c2 < 1.0:
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={c2}")
-        if self.grad_tol <= 0.0:
+        if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
 
     def effective_c2(self) -> float:

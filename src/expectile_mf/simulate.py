@@ -51,9 +51,9 @@ class SimulationSpec:
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
         for name in ("r_sd", "c_sd", "u_sd", "v_sd"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:
                 raise ValueError(f"{name} must be > 0")
-        if self.sigma < 0.0:
+        if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
         if not 0.0 <= self.na_portion < 1.0:
             raise ValueError("na_portion must be in [0, 1)")

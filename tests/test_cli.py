@@ -117,6 +117,16 @@ class TestIccCommand:
         assert doc["icc"] == 1.0
         assert doc["n_groups"] == 2
 
+    @pytest.mark.parametrize("text, n_groups", [("", 0), ("a,1\na,2\n", 1)],
+                             ids=["empty", "one-group"])
+    def test_fewer_than_two_groups_is_two(self, tmp_path, capsys, text, n_groups):
+        data = tmp_path / "grouped.csv"
+        data.write_text(text)
+        out = tmp_path / "icc.json"
+        assert run(["icc", "--input", data, "--out", out]) == 2
+        assert f"{data}: need at least 2 distinct groups, got {n_groups}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestIngestCommand:
     def test_end_to_end(self, tmp_path):
@@ -226,6 +236,67 @@ class TestExitCodes:
                     "--output", tmp_path / "m2.json"])
         assert code == 1
         assert not (tmp_path / "m2.json").exists()
+
+    # Each config type (SimulationSpec, FitConfig, OptimizeOptions, Tau)
+    # rejects a bad option value with ValueError, which main reports as a
+    # usage error before any output is written.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tau-sweep", "--input", "X.csv", "--rank", 0, "--output-dir", "out"],
+             "k must be >= 1"),
+            (["simulate", "--rows", 0, "--cols", 5, "--out", "out.csv"],
+             "m and n must be positive"),
+            (["bench", "compare-algos", "--rows", 20, "--cols", 20, "--max-iters", 0,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "max_iters must be >= 1"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--tau", 1.5, "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "tau must be in (0, 1), got 1.5"),
+            (["bench", "resilience", "--input", "X.csv", "--rank", 0,
+              "--out-loss-csv", "out.csv", "--out-mad-csv", "out2.csv"],
+             "k must be >= 1"),
+            (["expectiles", "--input", "X.csv", "--taus", 2, "--out", "out.csv"],
+             "tau must be in (0, 1), got 2.0"),
+        ],
+        ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "resilience", "expectiles"],
+    )
+    def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"Error: {message}\n"
+        assert set(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "option, bad_text",
+        [
+            ("--normalization", lambda m: json.dumps({**m["normalization"], "std": 0.0})),
+            ("--normalization",
+             lambda m: json.dumps({k: v for k, v in m["normalization"].items() if k != "std"})),
+            ("--normalization", lambda m: "{not json"),
+            ("--model", lambda m: json.dumps({k: v for k, v in m.items() if k != "p"})),
+            ("--warm-start", lambda m: json.dumps({**m, "u": m["u"][:-1]})),
+        ],
+        ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u"],
+    )
+    def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--input", sim_csv, "--seed", 1, "--max-iters", 20,
+                    "--output", model_path]) == 0
+        bad = tmp_path / "bad.json"
+        bad.write_text(bad_text(json.loads(model_path.read_text())))
+        out = tmp_path / "out"
+        if option == "--model":
+            argv = ["band-curves", "--model", bad, "--out", out]
+        else:
+            argv = ["fit", "--input", sim_csv, option, bad, "--output", out]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        assert not out.exists()
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.csv"

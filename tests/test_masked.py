@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -107,6 +109,19 @@ class TestGlobalStats:
     def test_normalization_info_rejects_non_finite(self, mean, std):
         with pytest.raises(ValueError):
             NormalizationInfo(mean=mean, std=std, row_means=np.zeros(2), col_means=np.zeros(2))
+
+    def test_normalization_info_dict_round_trip(self, rng):
+        _, info = normalize(random_masked(rng))
+        doc = info.to_dict()
+        assert list(doc) == ["mean", "std", "row_means", "col_means"]
+        back = NormalizationInfo.from_dict(json.loads(json.dumps(doc)))
+        assert (back.mean, back.std) == (info.mean, info.std)
+        assert np.array_equal(back.row_means, info.row_means)
+        assert np.array_equal(back.col_means, info.col_means)
+        with pytest.raises(ValueError):
+            NormalizationInfo.from_dict({**doc, "std": 0.0})
+        with pytest.raises(KeyError):
+            NormalizationInfo.from_dict({k: v for k, v in doc.items() if k != "std"})
 
     @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]], [[1.0, 2.0], [np.inf, 3.0]]])
     def test_overflowing_or_infinite_entries_degenerate(self, values):

@@ -60,6 +60,8 @@ class TestOptions:
             OptimizeOptions(c1=0.5, c2=0.1)
         with pytest.raises(ValueError):
             OptimizeOptions(grad_tol=-1.0)
+        with pytest.raises(ValueError):
+            OptimizeOptions(grad_tol=float("nan"))
 
 
 class TestQuadratics:

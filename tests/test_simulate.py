@@ -27,6 +27,8 @@ class TestSpecValidation:
             {"m": 5, "n": 5, "sigma": -1.0},
             {"m": 5, "n": 5, "na_portion": 1.0},
             {"m": 5, "n": 5, "true_rank": 0},
+            {"m": 5, "n": 5, "sigma": float("nan")},
+            {"m": 5, "n": 5, "u_sd": float("nan")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
