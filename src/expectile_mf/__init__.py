@@ -32,6 +32,7 @@ from .errors import (
     LengthMismatch,
     NonConvergence,
     NonFiniteObjective,
+    NonFiniteValue,
     ParseError,
     RankNotOne,
     UnnormalizedDataWarning,

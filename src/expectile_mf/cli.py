@@ -205,10 +205,10 @@ def _prepare_fit_input(input_path, header, normalization_path, no_normalize):
     return normalize(x)
 
 
-def _default_pivot(n_rows, orient_pivot):
+def _default_pivot(n_rows, rank, orient_pivot):
     if orient_pivot is not None:
         return orient_pivot
-    return ORIENT_PIVOT_288 if n_rows == 288 else None
+    return ORIENT_PIVOT_288 if n_rows == 288 and rank == 1 else None
 
 
 def _report_doc(report: FitReport) -> dict:
@@ -232,7 +232,7 @@ _fit_options = [
     click.option("--grad-tol", type=float, default=1e-6, show_default=True),
     click.option("--max-iters", type=int, default=500, show_default=True),
     click.option("--orient-pivot", type=int, default=None,
-                 help="Rank-1 sign pivot row (default 72 when the matrix has 288 rows)."),
+                 help="Rank-1 sign pivot row (default 72 for a rank-1 fit of 288 rows)."),
     click.option("--normalization", "normalization_path", type=click.Path(exists=True),
                  default=None, help="JSON sidecar with mean/std/row/col means of the input."),
     click.option("--no-normalize", is_flag=True, help="Treat the input as already normalized."),
@@ -260,7 +260,7 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
         n_restarts=restarts,
         seed=seed,
-        orient_pivot=_default_pivot(x.n_rows, orient_pivot),
+        orient_pivot=_default_pivot(x.n_rows, rank, orient_pivot),
         warm_start=warm,
     )
     report = fit(x, info.row_means, info.col_means, config)
@@ -297,7 +297,7 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
         n_restarts=restarts,
         seed=seed,
-        orient_pivot=_default_pivot(x.n_rows, orient_pivot),
+        orient_pivot=_default_pivot(x.n_rows, rank, orient_pivot),
     )
     reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     out_dir = Path(output_dir)
@@ -419,7 +419,7 @@ def band_curves_cmd(model_path, out):
     started = time.perf_counter()
     model, _, info = _load_json(model_path, model_from_dict)
     if info is None:
-        raise click.UsageError(f"{model_path} carries no normalization info")
+        raise ExpectileMFError(f"{model_path}: carries no normalization info")
     lower, center, upper = band_curves(model, info)
     rows = []
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):
@@ -591,7 +591,8 @@ def main(argv=None) -> int:
         return 2
     except ValueError as exc:
         # The config types (FitConfig, OptimizeOptions, SimulationSpec, Tau)
-        # reject option values with ValueError; input readers raise ExpectileMFError.
+        # and fit's pivot range check reject option values with ValueError;
+        # input readers raise ExpectileMFError.
         print(f"Error: {exc}", file=sys.stderr)
         return 1
 

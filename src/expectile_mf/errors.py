@@ -45,6 +45,10 @@ class RankNotOne(ExpectileMFError):
     """A rank-1-only operation was called on a model with k != 1."""
 
 
+class NonFiniteValue(ExpectileMFError):
+    """An observed matrix cell holds NaN or an infinity."""
+
+
 class NonFiniteObjective(ExpectileMFError):
     """The objective returned NaN or Inf at an evaluated point."""
 

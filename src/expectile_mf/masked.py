@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch, EmptyResult, ParseError
+from .errors import DegenerateMatrix, DimensionMismatch, EmptyResult, NonFiniteValue, ParseError
 
 
 def _frozen_array(arr, dtype) -> np.ndarray:
@@ -24,7 +24,10 @@ def _frozen_array(arr, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MaskedMatrix:
-    """n x p values plus a boolean mask, True where a cell is observed."""
+    """n x p values plus a boolean mask, True where a cell is observed.
+
+    Observed cells must be finite; unobserved cells are not checked.
+    """
 
     values: np.ndarray
     mask: np.ndarray
@@ -38,6 +41,10 @@ class MaskedMatrix:
             raise DimensionMismatch(
                 f"mask shape {mask.shape} != values shape {values.shape}"
             )
+        finite = np.isfinite(values[mask])
+        if not finite.all():
+            i, j = divmod(int(np.flatnonzero(mask)[np.argmin(finite)]), values.shape[1])
+            raise NonFiniteValue(f"observed cell ({i}, {j}) is {float(values[i, j])!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 

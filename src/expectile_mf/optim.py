@@ -29,6 +29,11 @@ STATUS_LINE_SEARCH = "line_search_failure"
 # Curvature threshold below which a quasi-Newton pair is skipped.
 _CURVATURE_SKIP = 1e-10
 
+# Rows per block of the in-place dense-BFGS update. At d=1600, blocks of 8 to
+# 64 rows ran a 50-iteration fit within noise of each other (1.14-1.23 s
+# medians); 16 keeps the (2, 16, d) work buffer at 400 KB.
+_BFGS_BLOCK = 16
+
 
 @dataclass
 class OptimizeOptions:
@@ -231,11 +236,37 @@ def _finish_failed(best_alpha, best_f, x, f, direction):
 # ---------------------------------------------------------------------------
 
 
+def _bfgs_update(h, s, y, sy, buf):
+    """Inverse-Hessian update h <- (I - rho s y') h (I - rho y s') + rho s s', in place.
+
+    Works one block of rows at a time in buf, shape (2, _BFGS_BLOCK, dim), so
+    no d x d temporary is built. Each element sees the same operations in the
+    same order as h -= rho*(s hy' + hy s'); h += scale*s s', so h is
+    bit-identical to that full-matrix form and stays exactly symmetric.
+    """
+    rho = 1.0 / sy
+    hy = h @ y
+    scale = rho * rho * float(y @ hy) + rho
+    for start in range(0, h.shape[0], _BFGS_BLOCK):
+        stop = start + _BFGS_BLOCK
+        rows = h[start:stop]
+        a, b = buf[:, : rows.shape[0]]
+        np.multiply(s[start:stop, None], hy, out=a)
+        np.multiply(hy[start:stop, None], s, out=b)
+        a += b
+        a *= rho
+        rows -= a
+        np.multiply(s[start:stop, None], s, out=a)
+        a *= scale
+        rows += a
+
+
 def _bfgs_loop(fg, x, opts, callback):
     c1, c2 = opts.c1, opts.effective_c2()
     f, g = fg(x)
     dim = x.size
     h = np.eye(dim)
+    buf = np.empty((2, _BFGS_BLOCK, dim))
     first_pair = True
     iters = 0
     while iters < opts.max_iters:
@@ -259,10 +290,7 @@ def _bfgs_loop(fg, x, opts, callback):
             h *= sy / float(y @ y)
         first_pair = False
         if sy > _CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            rho = 1.0 / sy
-            hy = h @ y
-            h -= rho * (np.outer(s, hy) + np.outer(hy, s))
-            h += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+            _bfgs_update(h, s, y, sy, buf)
         x, f, g = x_new, f_new, g_new
         iters += 1
         if callback is not None:

@@ -43,6 +43,8 @@ class FitConfig:
             raise ValueError("n_restarts must be >= 1")
         if self.warm_start is not None and self.n_restarts > 1:
             raise ValueError("a warm start runs one optimization; it cannot take n_restarts > 1")
+        if self.orient_pivot is not None and self.k != 1:
+            raise ValueError(f"orient_pivot applies only to k = 1, got k = {self.k}")
 
 
 @dataclass
@@ -90,8 +92,10 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     terms) and runs a single optimization. Restart winners
     are chosen by final loss with ties broken by restart index.
     """
-    _warn_if_unnormalized(x)
     n, p, k = x.n_rows, x.n_cols, config.k
+    if config.orient_pivot is not None and not 0 <= config.orient_pivot < n:
+        raise ValueError(f"orient_pivot {config.orient_pivot} out of range for {n} rows")
+    _warn_if_unnormalized(x)
     row_means = np.asarray(row_means, dtype=float)
     col_means = np.asarray(col_means, dtype=float)
     if row_means.size != n or col_means.size != p:
@@ -118,7 +122,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     best = results[int(np.argmin(losses))]
 
     model = canonicalize(unflatten(best.x_final, n, p, k))
-    if k == 1 and config.orient_pivot is not None:
+    if config.orient_pivot is not None:
         model = orient_rank1(model, config.orient_pivot)
     return FitReport(
         model=model,

@@ -1,9 +1,10 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written as plain scalar loops or
-brute-force searches, sharing no code path with the package, except
-where_loss_and_gradient: the vectorized masked loss kept as the bit-exact
-reference for the package's fused kernel.
+brute-force searches, sharing no code path with the package, except two
+vectorized bit-exact references: where_loss_and_gradient, the masked loss
+the package's fused kernel must match, and full_matrix_bfgs_update, the
+dense update the package's blocked BFGS update must match.
 """
 
 import numpy as np
@@ -164,3 +165,15 @@ def median_sorted(xs):
     if len(s) % 2 == 1:
         return float(s[m])
     return (s[m - 1] + s[m]) / 2.0
+
+
+def full_matrix_bfgs_update(h, s, y, sy):
+    """Dense inverse-Hessian BFGS update on the whole matrix, in place.
+
+    The reference for the package's blocked update, which must reproduce
+    these bits exactly.
+    """
+    rho = 1.0 / sy
+    hy = h @ y
+    h -= rho * (np.outer(s, hy) + np.outer(hy, s))
+    h += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)

@@ -237,9 +237,9 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "m2.json").exists()
 
-    # Each config type (SimulationSpec, FitConfig, OptimizeOptions, Tau)
-    # rejects a bad option value with ValueError, which main reports as a
-    # usage error before any output is written.
+    # Each config type (SimulationSpec, FitConfig, OptimizeOptions, Tau), and
+    # fit's pivot range check, rejects a bad option value with ValueError,
+    # which main reports as a usage error before any output is written.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -258,8 +258,16 @@ class TestExitCodes:
              "k must be >= 1"),
             (["expectiles", "--input", "X.csv", "--taus", 2, "--out", "out.csv"],
              "tau must be in (0, 1), got 2.0"),
+            (["fit", "--input", "X.csv", "--restarts", 3, "--orient-pivot", 999,
+              "--output", "out.json"],
+             "orient_pivot 999 out of range for 30 rows"),
+            (["fit", "--input", "X.csv", "--rank", 2, "--orient-pivot", 0, "--output", "out.json"],
+             "orient_pivot applies only to k = 1, got k = 2"),
+            (["tau-sweep", "--input", "X.csv", "--orient-pivot", -1, "--output-dir", "out"],
+             "orient_pivot -1 out of range for 30 rows"),
         ],
-        ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "resilience", "expectiles"],
+        ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "resilience", "expectiles",
+             "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -279,8 +287,10 @@ class TestExitCodes:
             ("--normalization", lambda m: "{not json"),
             ("--model", lambda m: json.dumps({k: v for k, v in m.items() if k != "p"})),
             ("--warm-start", lambda m: json.dumps({**m, "u": m["u"][:-1]})),
+            ("--model", lambda m: json.dumps({**m, "normalization": None})),
         ],
-        ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u"],
+        ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
+             "model-without-normalization"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"
@@ -297,6 +307,17 @@ class TestExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
         assert not out.exists()
+
+    def test_default_pivot_is_rank_one_only(self, tmp_path):
+        x_csv = tmp_path / "X288.csv"
+        assert run(["simulate", "--rows", 288, "--cols", 8, "--true-rank", 1,
+                    "--seed", 4, "--out", x_csv]) == 0
+        for rank, pivot in ((1, 72), (2, None)):
+            model_path = tmp_path / f"model{rank}.json"
+            assert run(["fit", "--input", x_csv, "--rank", rank, "--max-iters", 5,
+                        "--output", model_path]) == 0
+            manifest = json.loads((tmp_path / f"model{rank}.json.manifest.json").read_text())
+            assert manifest["config"]["orient_pivot"] == pivot
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -10,6 +10,7 @@ from expectile_mf import (
     DimensionMismatch,
     EmptyResult,
     MaskedMatrix,
+    NonFiniteValue,
     NormalizationInfo,
     ParseError,
     denormalize,
@@ -65,6 +66,23 @@ class TestMaskedMatrix:
         assert x.mask.tolist() == [[True, False], [False, True]]
         back = x.to_dense()
         assert np.isnan(back[0, 1]) and back[1, 1] == 4.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_observed_cell_rejected_with_location(self, bad):
+        values = np.zeros((3, 4))
+        values[1, 2] = bad
+        values[2, 0] = bad
+        with pytest.raises(NonFiniteValue, match=r"observed cell \(1, 2\) is"):
+            MaskedMatrix(values, np.ones((3, 4), dtype=bool))
+
+    def test_from_dense_rejects_infinity(self):
+        with pytest.raises(NonFiniteValue, match=r"observed cell \(0, 1\) is -inf"):
+            MaskedMatrix.from_dense([[1.0, -np.inf], [np.nan, 2.0]])
+
+    def test_non_finite_unobserved_cell_accepted(self):
+        values = np.array([[1.0, np.inf], [np.nan, 2.0]])
+        x = MaskedMatrix(values, [[True, False], [False, True]])
+        assert x.observed_values().tolist() == [1.0, 2.0]
 
     def test_values_are_immutable(self):
         x = MaskedMatrix(FIXTURE_VALUES, FIXTURE_MASK)
@@ -123,7 +141,8 @@ class TestGlobalStats:
         with pytest.raises(KeyError):
             NormalizationInfo.from_dict({k: v for k, v in doc.items() if k != "std"})
 
-    @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]], [[1.0, 2.0], [np.inf, 3.0]]])
+    # An infinite observed cell no longer gets this far: MaskedMatrix rejects it.
+    @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]]])
     def test_overflowing_or_infinite_entries_degenerate(self, values):
         x = MaskedMatrix(values, np.ones((2, 2), dtype=bool))
         with pytest.raises(DegenerateMatrix):

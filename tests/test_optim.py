@@ -3,15 +3,25 @@ import pytest
 
 from expectile_mf import (
     NonFiniteObjective,
+    Objective,
     OptimizeOptions,
+    SimulationSpec,
     finite_difference_gradient,
+    flatten,
+    generate,
+    initial_model,
     minimize,
+    normalize,
 )
+from expectile_mf import optim
 from expectile_mf.optim import (
+    _BFGS_BLOCK,
     STATUS_GRAD_TOL,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
+    _bfgs_update,
 )
+from oracles import full_matrix_bfgs_update
 
 
 def quadratic(center):
@@ -158,6 +168,49 @@ class TestDescentAndWolfe:
         assert len(bfgs_path) == len(lbfgs_path)
         for a, b in zip(bfgs_path, lbfgs_path):
             assert np.abs(a - b).max() < 1e-8
+
+
+class TestBfgsUpdate:
+    @pytest.mark.parametrize("dim", [1, _BFGS_BLOCK - 1, _BFGS_BLOCK, _BFGS_BLOCK + 1, 1601])
+    def test_blocked_update_matches_full_matrix_bitwise(self, dim, rng):
+        h_ref = 0.7 * np.eye(dim)
+        h = h_ref.copy()
+        buf = np.empty((2, _BFGS_BLOCK, dim))
+        for _ in range(20):
+            s = rng.normal(size=dim)
+            y = s * rng.uniform(0.5, 2.0, size=dim) + 0.1 * rng.normal(size=dim)
+            sy = float(s @ y)
+            full_matrix_bfgs_update(h_ref, s, y, sy)
+            _bfgs_update(h, s, y, sy, buf)
+        assert np.array_equal(h, h_ref)
+        assert np.array_equal(h, h.T)
+
+    def test_minimize_path_matches_full_matrix_loop(self, monkeypatch):
+        # 30x24 at k=2 gives 162 parameters: ten full blocks and a partial one.
+        sim = generate(SimulationSpec(m=30, n=24, true_rank=1, sigma=0.1, na_portion=0.2, seed=5))
+        xn, info = normalize(sim.x)
+        objective = Objective(xn, 0.3, 2)
+        x0 = flatten(initial_model(info.row_means, info.col_means, 2, 1))
+        opts = OptimizeOptions(algorithm="bfgs", max_iters=60)
+
+        def run():
+            iterates = []
+            res = minimize(objective, x0, opts, callback=iterates.append)
+            return res, iterates
+
+        blocked, blocked_path = run()
+        calls = []
+
+        def oracle(h, s, y, sy, buf):
+            calls.append(sy)
+            full_matrix_bfgs_update(h, s, y, sy)
+
+        monkeypatch.setattr(optim, "_bfgs_update", oracle)
+        full, full_path = run()
+        assert len(calls) > 20
+        assert len(blocked_path) == len(full_path) == blocked.iterations
+        assert all(np.array_equal(a, b) for a, b in zip(blocked_path, full_path))
+        assert blocked.final_loss == full.final_loss
 
 
 class TestFailureModes:

@@ -15,6 +15,7 @@ from expectile_mf import (
     normalize,
     tau_sweep,
 )
+from expectile_mf import pipeline
 from expectile_mf.simulate import SimulationSpec, generate
 
 
@@ -90,6 +91,16 @@ class TestFit:
         report = fit(xn, info.row_means, info.col_means,
                      FitConfig(tau=0.5, k=1, seed=5, orient_pivot=4))
         assert report.model.u[4, 0] >= 0.0
+
+    @pytest.mark.parametrize("pivot", [-1, 30, 999])
+    def test_pivot_out_of_range_rejected_before_optimizing(self, pivot, monkeypatch):
+        xn, info = small_normalized_data(seed=3)
+        calls = []
+        monkeypatch.setattr(pipeline, "minimize", lambda *args: calls.append(args))
+        config = FitConfig(tau=0.5, k=1, n_restarts=3, seed=5, orient_pivot=pivot)
+        with pytest.raises(ValueError, match=f"orient_pivot {pivot} out of range for 30 rows"):
+            fit(xn, info.row_means, info.col_means, config)
+        assert calls == []
 
     def test_deterministic(self):
         xn, info = small_normalized_data(seed=4)
