@@ -17,12 +17,12 @@ import numpy as np
 from .errors import DegenerateVariance, RankNotOne
 from .masked import MaskedMatrix, NormalizationInfo, masked_col_means, masked_row_means, normalize
 from .model import FactorModel, fitted_matrix
-from .optim import OptimizeOptions
+from .optim import ALGORITHMS, OptimizeOptions
 from .pipeline import FitConfig, fit, initial_model
 from .simulate import SimulationSpec, generate
 from .util import derive_seeds, map_indexed
 
-ALGORITHM_ORDER = ("bfgs", "lbfgs", "cg")
+ALGORITHM_ORDER = ALGORITHMS
 
 
 @dataclass(frozen=True)
@@ -255,6 +255,10 @@ def rank_sweep(
     algorithms = list(algorithms)
     if not ranks or not taus or not algorithms:
         raise ValueError("taus, ranks, and algorithms must be non-empty")
+    if n_trials < 1:
+        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    if min(ranks) < 1:
+        raise ValueError(f"ranks must be >= 1, got {ranks}")
     base_opts = opts if opts is not None else OptimizeOptions()
     trial_children = np.random.SeedSequence(spec.seed).spawn(n_trials)
 

@@ -367,9 +367,12 @@ def icc_cmd(input_path, out):
                 raise ParseError(line_no, "expected 'group_id,value'")
             groups.append(parts[0])
             try:
-                values.append(float(parts[1]))
+                value = float(parts[1])
             except ValueError:
                 raise ParseError(line_no, f"bad value {parts[1]!r}") from None
+            if not np.isfinite(value):
+                raise ParseError(line_no, f"non-finite value {value!r}")
+            values.append(value)
     n_groups = len(set(groups))
     if n_groups < 2:
         raise TooFewGroups(f"{input_path}: need at least 2 distinct groups, got {n_groups}")

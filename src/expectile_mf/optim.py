@@ -1,12 +1,13 @@
 """Smooth unconstrained minimizers over flat parameter vectors.
 
-Three algorithms behind one entry point: dense quasi-Newton with an inverse
-Hessian update (bfgs), limited-memory quasi-Newton via the two-loop
-recursion (lbfgs), and Polak-Ribiere conjugate gradient with restart on
-non-descent (cg). All share a strong-Wolfe bracketing line search with
-cubic interpolation, so every accepted step certifies both the sufficient
-decrease and the curvature condition. Everything is plain double-precision
-numpy in fixed order, so runs with identical inputs are bit-identical.
+One line-search loop drives three direction rules: dense quasi-Newton with
+an inverse-Hessian update (bfgs), limited-memory quasi-Newton via the
+two-loop recursion (lbfgs), and Polak-Ribiere conjugate gradient (cg). A
+direction that does not descend restarts the rule from steepest descent.
+Every accepted step passes a strong-Wolfe bracketing search with cubic
+interpolation and fixed constants: c1 = 1e-4, c2 = 0.9 for the quasi-Newton
+rules and 0.4 for cg. Everything is plain double-precision numpy in fixed
+order, so runs with identical inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,11 +21,15 @@ import numpy as np
 
 from .errors import NonFiniteObjective
 
-ALGORITHMS = ("bfgs", "lbfgs", "cg")
-
 STATUS_GRAD_TOL = "grad_tolerance_met"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failure"
+
+# Sufficient-decrease constant of the strong-Wolfe search.
+_C1 = 1e-4
+
+# Curvature pairs kept by L-BFGS.
+_LBFGS_MEMORY = 10
 
 # Curvature threshold below which a quasi-Newton pair is skipped.
 _CURVATURE_SKIP = 1e-10
@@ -37,38 +42,23 @@ _BFGS_BLOCK = 16
 
 @dataclass
 class OptimizeOptions:
-    """Knobs for minimize.
+    """Knobs for minimize: the direction rule and the two stopping rules.
 
-    c2 defaults to 0.9 for the quasi-Newton methods and 0.4 for cg when
-    left as None. scale_h0 controls the usual curvature-based scaling of
-    the initial inverse Hessian (identity when disabled).
+    algorithm is one of ALGORITHMS; the fit stops once the gradient
+    infinity norm is at most grad_tol, or after max_iters accepted steps.
     """
 
     algorithm: str = "lbfgs"
     grad_tol: float = 1e-6
     max_iters: int = 500
-    lbfgs_memory: int = 10
-    c1: float = 1e-4
-    c2: "float | None" = None
-    scale_h0: bool = True
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.lbfgs_memory < 1:
-            raise ValueError("lbfgs_memory must be >= 1")
-        c2 = self.effective_c2()
-        if not 0.0 < self.c1 < c2 < 1.0:
-            raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={c2}")
         if not self.grad_tol > 0.0:
             raise ValueError("grad_tol must be positive")
-
-    def effective_c2(self) -> float:
-        if self.c2 is not None:
-            return self.c2
-        return 0.4 if self.algorithm == "cg" else 0.9
 
 
 @dataclass
@@ -105,15 +95,45 @@ def minimize(objective, x0, opts: "OptimizeOptions | None" = None, callback=None
     Deterministic given (objective, x0, opts).
     """
     opts = opts if opts is not None else OptimizeOptions()
-    x0 = np.array(x0, dtype=float).ravel()
+    x = np.array(x0, dtype=float).ravel()
     counter = [0]
     fg = _counted(objective, counter)
     start = time.perf_counter()
-    loop = {"bfgs": _bfgs_loop, "lbfgs": _lbfgs_loop, "cg": _cg_loop}[opts.algorithm]
-    x, loss, iters, status = loop(fg, x0, opts, callback)
+    rule = _RULES[opts.algorithm](x.size)
+    f, g = fg(x)
+    iters, status = 0, STATUS_MAX_ITERS
+    while iters < opts.max_iters:
+        if np.max(np.abs(g)) <= opts.grad_tol:
+            status = STATUS_GRAD_TOL
+            break
+        direction = rule.direction(g)
+        dphi0 = float(direction @ g)
+        if dphi0 >= 0.0:
+            # Not a descent direction (e.g. lost positive definiteness):
+            # clear the rule's memory and restart from steepest descent.
+            rule.reset()
+            direction = -g
+            dphi0 = -float(g @ g)
+        alpha0 = rule.first_step(f, g, dphi0)
+        alpha, f_new, g_new, ok = _wolfe_search(fg, x, direction, f, g, dphi0, rule.c2, alpha0)
+        if not ok:
+            # Move to the lowest evaluated point, if any beat x.
+            if alpha > 0.0 and f_new < f:
+                x, f = x + alpha * direction, f_new
+            status = STATUS_LINE_SEARCH
+            break
+        # Wolfe certification of the accepted step (stripped under -O).
+        assert f_new <= f + _C1 * alpha * dphi0
+        assert abs(float(g_new @ direction)) <= -rule.c2 * dphi0
+        x_new = x + alpha * direction
+        rule.update(x_new - x, g_new - g, g, direction)
+        x, f, g = x_new, f_new, g_new
+        iters += 1
+        if callback is not None:
+            callback(x.copy())
     return OptimizeResult(
         x_final=x,
-        final_loss=loss,
+        final_loss=f,
         iterations=iters,
         function_evals=counter[0],
         elapsed_seconds=time.perf_counter() - start,
@@ -160,14 +180,13 @@ def _cubic_step(a, fa, da, b, fb, db):
     return t if math.isfinite(t) else None
 
 
-def _wolfe_search(fg, x, direction, f0, g0, c1, c2, alpha0, max_expand=20, max_section=30):
-    """Search along direction for a step satisfying the strong Wolfe conditions.
+def _wolfe_search(fg, x, direction, f0, g0, dphi0, c2, alpha0, max_expand=20, max_section=30):
+    """Search along direction, whose slope at x is dphi0 < 0, for a strong-Wolfe step.
 
     Returns (alpha, f, g, satisfied). When no certified step is found the
     lowest point evaluated is returned with satisfied = False (alpha may be
     0.0, meaning nothing improved on the start).
     """
-    dphi0 = float(g0 @ direction)
     best = (0.0, f0, g0)
 
     def evaluate(alpha):
@@ -190,7 +209,7 @@ def _wolfe_search(fg, x, direction, f0, g0, c1, c2, alpha0, max_expand=20, max_s
             ):
                 trial = 0.5 * (lo + hi)
             f_t, g_t, d_t = evaluate(trial)
-            if f_t > f0 + c1 * trial * dphi0 or f_t >= f_lo:
+            if f_t > f0 + _C1 * trial * dphi0 or f_t >= f_lo:
                 hi, f_hi, d_hi = trial, f_t, d_t
             else:
                 if abs(d_t) <= -c2 * dphi0:
@@ -206,7 +225,7 @@ def _wolfe_search(fg, x, direction, f0, g0, c1, c2, alpha0, max_expand=20, max_s
     alpha = alpha0
     for i in range(max_expand):
         f_a, g_a, d_a = evaluate(alpha)
-        if f_a > f0 + c1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
+        if f_a > f0 + _C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
             return section(a_prev, f_prev, d_prev, alpha, f_a, d_a)
         if abs(d_a) <= -c2 * dphi0:
             return alpha, f_a, g_a, True
@@ -217,22 +236,9 @@ def _wolfe_search(fg, x, direction, f0, g0, c1, c2, alpha0, max_expand=20, max_s
     return best[0], best[1], best[2], False
 
 
-def _certify_wolfe(f, g, direction, alpha, f_new, g_new, c1, c2):
-    # Wolfe certification of the accepted pair (stripped under -O).
-    dphi0 = float(g @ direction)
-    assert f_new <= f + c1 * alpha * dphi0
-    assert abs(float(g_new @ direction)) <= -c2 * dphi0
-
-
-def _finish_failed(best_alpha, best_f, x, f, direction):
-    # Line search gave up: move to the lowest evaluated point, if any beat x.
-    if best_alpha > 0.0 and best_f < f:
-        return x + best_alpha * direction, best_f
-    return x, f
-
-
 # ---------------------------------------------------------------------------
-# Algorithm loops
+# Direction rules: direction(g), reset(), first_step(f, g, dphi0), and
+# update(s, y, g, direction) with the accepted step s, y = g_new - g.
 # ---------------------------------------------------------------------------
 
 
@@ -261,41 +267,34 @@ def _bfgs_update(h, s, y, sy, buf):
         rows += a
 
 
-def _bfgs_loop(fg, x, opts, callback):
-    c1, c2 = opts.c1, opts.effective_c2()
-    f, g = fg(x)
-    dim = x.size
-    h = np.eye(dim)
-    buf = np.empty((2, _BFGS_BLOCK, dim))
-    first_pair = True
-    iters = 0
-    while iters < opts.max_iters:
-        if np.max(np.abs(g)) <= opts.grad_tol:
-            return x, f, iters, STATUS_GRAD_TOL
-        direction = -(h @ g)
-        if float(direction @ g) >= 0.0:
-            # Numerical loss of positive definiteness: restart from steepest descent.
-            h = np.eye(dim)
-            direction = -g
-        alpha, f_new, g_new, ok = _wolfe_search(fg, x, direction, f, g, c1, c2, 1.0)
-        if not ok:
-            x, f = _finish_failed(alpha, f_new, x, f, direction)
-            return x, f, iters, STATUS_LINE_SEARCH
-        _certify_wolfe(f, g, direction, alpha, f_new, g_new, c1, c2)
-        x_new = x + alpha * direction
-        s = x_new - x
-        y = g_new - g
+class _QuasiNewton:
+    c2 = 0.9
+
+    def first_step(self, f, g, dphi0):
+        return 1.0
+
+
+class _Bfgs(_QuasiNewton):
+    """Dense inverse Hessian h, from I scaled by s'y / y'y of the first pair."""
+
+    def __init__(self, dim):
+        self.h = np.eye(dim)
+        self.buf = np.empty((2, _BFGS_BLOCK, dim))
+        self.first_pair = True
+
+    def direction(self, g):
+        return -(self.h @ g)
+
+    def reset(self):
+        self.h = np.eye(self.h.shape[0])
+
+    def update(self, s, y, g, direction):
         sy = float(s @ y)
-        if first_pair and opts.scale_h0 and sy > 0.0:
-            h *= sy / float(y @ y)
-        first_pair = False
+        if self.first_pair and sy > 0.0:
+            self.h *= sy / float(y @ y)
+        self.first_pair = False
         if sy > _CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            _bfgs_update(h, s, y, sy, buf)
-        x, f, g = x_new, f_new, g_new
-        iters += 1
-        if callback is not None:
-            callback(x.copy())
-    return x, f, iters, STATUS_MAX_ITERS
+            _bfgs_update(self.h, s, y, sy, self.buf)
 
 
 def _two_loop(g, pairs, gamma):
@@ -312,74 +311,64 @@ def _two_loop(g, pairs, gamma):
     return q
 
 
-def _lbfgs_loop(fg, x, opts, callback):
-    c1, c2 = opts.c1, opts.effective_c2()
-    f, g = fg(x)
-    pairs: deque = deque(maxlen=opts.lbfgs_memory)
-    iters = 0
-    while iters < opts.max_iters:
-        if np.max(np.abs(g)) <= opts.grad_tol:
-            return x, f, iters, STATUS_GRAD_TOL
-        if pairs and opts.scale_h0:
-            s_last, y_last, _ = pairs[-1]
+class _Lbfgs(_QuasiNewton):
+    """The newest pairs, applied from gamma*I with gamma = s'y / y'y of the newest."""
+
+    def __init__(self, dim):
+        self.pairs: deque = deque(maxlen=_LBFGS_MEMORY)
+
+    def direction(self, g):
+        if self.pairs:
+            s_last, y_last, _ = self.pairs[-1]
             gamma = float(s_last @ y_last) / float(y_last @ y_last)
         else:
             gamma = 1.0
-        direction = -_two_loop(g, list(pairs), gamma)
-        if float(direction @ g) >= 0.0:
-            pairs.clear()
-            direction = -g
-        alpha, f_new, g_new, ok = _wolfe_search(fg, x, direction, f, g, c1, c2, 1.0)
-        if not ok:
-            x, f = _finish_failed(alpha, f_new, x, f, direction)
-            return x, f, iters, STATUS_LINE_SEARCH
-        _certify_wolfe(f, g, direction, alpha, f_new, g_new, c1, c2)
-        x_new = x + alpha * direction
-        s = x_new - x
-        y = g_new - g
+        return -_two_loop(g, list(self.pairs), gamma)
+
+    def reset(self):
+        self.pairs.clear()
+
+    def update(self, s, y, g, direction):
         sy = float(s @ y)
         if sy > _CURVATURE_SKIP * np.linalg.norm(s) * np.linalg.norm(y):
-            pairs.append((s, y, 1.0 / sy))
-        x, f, g = x_new, f_new, g_new
-        iters += 1
-        if callback is not None:
-            callback(x.copy())
-    return x, f, iters, STATUS_MAX_ITERS
+            self.pairs.append((s, y, 1.0 / sy))
 
 
-def _cg_loop(fg, x, opts, callback):
-    c1, c2 = opts.c1, opts.effective_c2()
-    f, g = fg(x)
-    direction = -g
-    f_prev = None
-    iters = 0
-    while iters < opts.max_iters:
-        if np.max(np.abs(g)) <= opts.grad_tol:
-            return x, f, iters, STATUS_GRAD_TOL
-        dphi0 = float(direction @ g)
-        if dphi0 >= 0.0:
-            direction = -g
-            dphi0 = -float(g @ g)
+class _Cg:
+    """Polak-Ribiere conjugate gradient with beta clipped at 0.
+
+    beta uses g_new @ y with the stored y, since g + y need not equal g_new.
+    """
+
+    c2 = 0.4
+
+    def __init__(self, dim):
+        self.f_prev = None
+        self.last = None  # (y, g.g, direction) of the last accepted step
+
+    def direction(self, g):
+        if self.last is None:
+            return -g
+        y, gg, d = self.last
+        beta = max(0.0, float(g @ y) / gg) if gg > 0.0 else 0.0
+        return -g + beta * d
+
+    def reset(self):
+        # The loop steps along -g, which update then records as the last direction.
+        pass
+
+    def first_step(self, f, g, dphi0):
         # First trial step sized from the last decrease, capped at 1.
+        f_prev, self.f_prev = self.f_prev, f
         if f_prev is not None and dphi0 < 0.0:
             alpha0 = min(1.0, 2.02 * (f - f_prev) / dphi0)
-            if alpha0 <= 0.0:
-                alpha0 = 1.0
-        else:
-            g_norm = float(np.linalg.norm(g))
-            alpha0 = min(1.0, 1.0 / g_norm) if g_norm > 0.0 else 1.0
-        alpha, f_new, g_new, ok = _wolfe_search(fg, x, direction, f, g, c1, c2, alpha0)
-        if not ok:
-            x, f = _finish_failed(alpha, f_new, x, f, direction)
-            return x, f, iters, STATUS_LINE_SEARCH
-        _certify_wolfe(f, g, direction, alpha, f_new, g_new, c1, c2)
-        x_new = x + alpha * direction
-        gg = float(g @ g)
-        beta = max(0.0, float(g_new @ (g_new - g)) / gg) if gg > 0.0 else 0.0
-        direction = -g_new + beta * direction
-        f_prev = f
-        x, f, g = x_new, f_new, g_new
-        iters += 1
-        if callback is not None:
-            callback(x.copy())
-    return x, f, iters, STATUS_MAX_ITERS
+            return alpha0 if alpha0 > 0.0 else 1.0
+        g_norm = float(np.linalg.norm(g))
+        return min(1.0, 1.0 / g_norm) if g_norm > 0.0 else 1.0
+
+    def update(self, s, y, g, direction):
+        self.last = (y, float(g @ g), direction)
+
+
+_RULES = {"bfgs": _Bfgs, "lbfgs": _Lbfgs, "cg": _Cg}
+ALGORITHMS = tuple(_RULES)

@@ -21,6 +21,7 @@ from expectile_mf import (
     rank_sweep,
     rmse_from_loss,
 )
+from expectile_mf import analysis
 from oracles import icc_two_pass
 
 
@@ -219,3 +220,9 @@ class TestRankSweep:
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             rank_sweep(tiny_spec(), [], [1], ["lbfgs"])
+
+    @pytest.mark.parametrize("ranks, n_trials", [([1], 0), ([1, 0], 1)], ids=["trials", "ranks"])
+    def test_bad_counts_rejected_before_any_data(self, monkeypatch, ranks, n_trials):
+        monkeypatch.setattr(analysis, "generate", lambda spec: pytest.fail("data generated"))
+        with pytest.raises(ValueError, match=">= 1"):
+            rank_sweep(tiny_spec(), [0.5], ranks, ["lbfgs"], n_trials=n_trials)

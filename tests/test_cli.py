@@ -128,6 +128,16 @@ class TestIccCommand:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_value_is_two_naming_line(self, tmp_path, capsys, cell):
+        data = tmp_path / "grouped.csv"
+        data.write_text(f"a,1\nb,{cell}\na,2\nb,3\n")
+        out = tmp_path / "icc.json"
+        assert run(["icc", "--input", data, "--out", out]) == 2
+        assert f"line 2: non-finite value {float(cell)!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestIngestCommand:
     def test_end_to_end(self, tmp_path):
         records = tmp_path / "hr.csv"
@@ -253,6 +263,12 @@ class TestExitCodes:
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--tau", 1.5, "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "tau must be in (0, 1), got 1.5"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--trials", 0,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "n_trials must be >= 1, got 0"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", "1,0", "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "ranks must be >= 1, got [1, 0]"),
             (["bench", "resilience", "--input", "X.csv", "--rank", 0,
               "--out-loss-csv", "out.csv", "--out-mad-csv", "out2.csv"],
              "k must be >= 1"),
@@ -266,7 +282,8 @@ class TestExitCodes:
             (["tau-sweep", "--input", "X.csv", "--orient-pivot", -1, "--output-dir", "out"],
              "orient_pivot -1 out of range for 30 rows"),
         ],
-        ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "resilience", "expectiles",
+        ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
+             "rank-sweep-ranks", "resilience", "expectiles",
              "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):

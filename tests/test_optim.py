@@ -16,10 +16,12 @@ from expectile_mf import (
 from expectile_mf import optim
 from expectile_mf.optim import (
     _BFGS_BLOCK,
+    ALGORITHMS,
     STATUS_GRAD_TOL,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
     _bfgs_update,
+    _two_loop,
 )
 from oracles import full_matrix_bfgs_update
 
@@ -56,18 +58,11 @@ def ill_conditioned_quadratic(dim, kappa, seed=0):
 
 
 class TestOptions:
-    def test_c2_defaults_per_algorithm(self):
-        assert OptimizeOptions(algorithm="lbfgs").effective_c2() == 0.9
-        assert OptimizeOptions(algorithm="bfgs").effective_c2() == 0.9
-        assert OptimizeOptions(algorithm="cg").effective_c2() == 0.4
-
     def test_validation(self):
         with pytest.raises(ValueError):
             OptimizeOptions(algorithm="adam")
         with pytest.raises(ValueError):
             OptimizeOptions(max_iters=0)
-        with pytest.raises(ValueError):
-            OptimizeOptions(c1=0.5, c2=0.1)
         with pytest.raises(ValueError):
             OptimizeOptions(grad_tol=-1.0)
         with pytest.raises(ValueError):
@@ -146,29 +141,6 @@ class TestDescentAndWolfe:
         assert len(it1) == len(it2)
         assert all(np.array_equal(a, b) for a, b in zip(it1, it2))
 
-    def test_lbfgs_full_memory_matches_bfgs_on_quadratic(self, rng):
-        # With identity initial scaling on both sides, the two-loop recursion
-        # applies exactly the dense update, so iterates coincide.
-        objective, _ = ill_conditioned_quadratic(10, 300.0, seed=3)
-        x0 = np.zeros(10)
-
-        def run(algorithm):
-            iterates = []
-            minimize(
-                objective,
-                x0,
-                OptimizeOptions(algorithm=algorithm, scale_h0=False, lbfgs_memory=64,
-                                max_iters=80),
-                callback=lambda xk: iterates.append(xk),
-            )
-            return iterates
-
-        bfgs_path = run("bfgs")
-        lbfgs_path = run("lbfgs")
-        assert len(bfgs_path) == len(lbfgs_path)
-        for a, b in zip(bfgs_path, lbfgs_path):
-            assert np.abs(a - b).max() < 1e-8
-
 
 class TestBfgsUpdate:
     @pytest.mark.parametrize("dim", [1, _BFGS_BLOCK - 1, _BFGS_BLOCK, _BFGS_BLOCK + 1, 1601])
@@ -184,6 +156,23 @@ class TestBfgsUpdate:
             _bfgs_update(h, s, y, sy, buf)
         assert np.array_equal(h, h_ref)
         assert np.array_equal(h, h.T)
+
+    def test_two_loop_matches_dense_update(self, rng):
+        # Over the same pairs, the two-loop recursion from gamma*I applies the
+        # inverse Hessian that the dense update builds from gamma*I.
+        dim, gamma = 40, 0.7
+        h = gamma * np.eye(dim)
+        buf = np.empty((2, _BFGS_BLOCK, dim))
+        pairs = []
+        for _ in range(8):
+            s = rng.normal(size=dim)
+            y = s * rng.uniform(0.5, 2.0, size=dim) + 0.1 * rng.normal(size=dim)
+            sy = float(s @ y)
+            _bfgs_update(h, s, y, sy, buf)
+            pairs.append((s, y, 1.0 / sy))
+        g = rng.normal(size=dim)
+        dense = h @ g
+        assert np.abs(_two_loop(g, pairs, gamma) - dense).max() <= 1e-12 * np.abs(dense).max()
 
     def test_minimize_path_matches_full_matrix_loop(self, monkeypatch):
         # 30x24 at k=2 gives 162 parameters: ten full blocks and a partial one.
@@ -211,6 +200,47 @@ class TestBfgsUpdate:
         assert len(blocked_path) == len(full_path) == blocked.iterations
         assert all(np.array_equal(a, b) for a, b in zip(blocked_path, full_path))
         assert blocked.final_loss == full.final_loss
+
+
+class TestReset:
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_non_descent_direction_restarts_from_steepest_descent(self, algorithm, monkeypatch):
+        # The rule's third direction points uphill; the loop must clear the
+        # rule's memory and search along -g instead.
+        rule_class = optim._RULES[algorithm]
+        direction, wolfe_search = rule_class.direction, optim._wolfe_search
+        rules, searches = [], []
+
+        def uphill_once(self, g):
+            rules.append(self)
+            d = direction(self, g)
+            return g.copy() if len(rules) == 3 else d
+
+        def recording_search(fg, x, d, f0, g0, *args):
+            result = wolfe_search(fg, x, d, f0, g0, *args)
+            searches.append((x, d, g0, result[0], memory_cleared(rules[-1])))
+            return result
+
+        def memory_cleared(rule):
+            if algorithm == "bfgs":
+                return np.array_equal(rule.h, np.eye(2))
+            if algorithm == "lbfgs":
+                return len(rule.pairs) == 0
+            return None
+
+        monkeypatch.setattr(rule_class, "direction", uphill_once)
+        monkeypatch.setattr(optim, "_wolfe_search", recording_search)
+        iterates = []
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), OptimizeOptions(algorithm=algorithm),
+                       callback=iterates.append)
+        x, d, g, alpha, cleared = searches[2]
+        assert np.array_equal(d, -g)
+        assert alpha > 0.0
+        assert np.array_equal(iterates[2], x + alpha * d)
+        if algorithm != "cg":
+            assert searches[1][4] is False and cleared is True
+        assert res.status == STATUS_GRAD_TOL
+        assert np.abs(res.x_final - 1.0).max() < 1e-5
 
 
 class TestFailureModes:
