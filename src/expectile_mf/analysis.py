@@ -20,7 +20,7 @@ from .model import FactorModel, fitted_matrix
 from .optim import ALGORITHMS, OptimizeOptions
 from .pipeline import FitConfig, fit, initial_model
 from .simulate import SimulationSpec, generate
-from .util import derive_seeds, map_indexed
+from .util import derive_seeds
 
 ALGORITHM_ORDER = ALGORITHMS
 
@@ -117,9 +117,7 @@ class PairStudyResult:
     mad: np.ndarray
 
 
-def init_resilience(
-    x: MaskedMatrix, config: FitConfig, n_trials: int, threads: int = 1
-) -> PairStudyResult:
+def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairStudyResult:
     """Fit n_trials times from distinct factor seeds and compare all pairs.
 
     MAD between two trials is the mean absolute difference of their fitted
@@ -129,15 +127,12 @@ def init_resilience(
         raise ValueError("n_trials must be >= 2")
     row_means = masked_row_means(x)
     col_means = masked_col_means(x)
-    seeds = derive_seeds(config.seed, n_trials)
-
-    def run(seed: int):
+    losses, fits = [], []
+    for seed in derive_seeds(config.seed, n_trials):
         report = fit(x, row_means, col_means, replace(config, seed=seed, n_restarts=1))
-        return report.final_loss, fitted_matrix(report.model)
-
-    outcomes = map_indexed(run, seeds, threads)
-    losses = np.array([loss for loss, _ in outcomes])
-    fits = [fm for _, fm in outcomes]
+        losses.append(report.final_loss)
+        fits.append(fitted_matrix(report.model))
+    losses = np.array(losses)
     t = n_trials
     loss_diff = np.abs(losses[:, None] - losses[None, :])
     mad = np.zeros((t, t))
@@ -166,7 +161,7 @@ def compare_algorithms(
     k: int,
     opts: "OptimizeOptions | None" = None,
     algorithms=ALGORITHM_ORDER,
-    threads: int = 1,
+    threads: int = 1,  # perfbench passes threads=1; remove when perfbench next changes
 ) -> AlgoComparison:
     """Race the optimizers over fresh datasets with shared initializations.
 
@@ -175,13 +170,13 @@ def compare_algorithms(
     optimizer wall time. Win counts take the argmin per dataset (ties to
     the earlier algorithm in the list).
     """
+    if threads != 1:
+        raise ValueError(f"threads must be 1, got {threads}")
     if min(n_datasets, n_inits, k) < 1:
         raise ValueError("n_datasets, n_inits, and k must be positive")
     base_opts = opts if opts is not None else OptimizeOptions()
-    dataset_seeds = derive_seeds(spec.seed, n_datasets)
-
-    def run_dataset(args):
-        d_index, d_seed = args
+    per_dataset = []
+    for d_index, d_seed in enumerate(derive_seeds(spec.seed, n_datasets)):
         sim = generate(replace(spec, seed=d_seed))
         xn, info = normalize(sim.x)
         init_seeds = derive_seeds(d_seed, n_inits)
@@ -208,9 +203,7 @@ def compare_algorithms(
         row["min_loss_algorithm"] = algorithms[int(np.argmin(losses))]
         row["min_time_algorithm"] = algorithms[int(np.argmin(times))]
         row["loss_spread"] = float(max(losses) - min(losses))
-        return row
-
-    per_dataset = map_indexed(run_dataset, list(enumerate(dataset_seeds)), threads)
+        per_dataset.append(row)
     summary = []
     for algo in algorithms:
         losses = [row[f"{algo}_loss"] for row in per_dataset]
@@ -243,7 +236,6 @@ def rank_sweep(
     algorithms,
     n_trials: int = 10,
     opts: "OptimizeOptions | None" = None,
-    threads: int = 1,
 ) -> RankSweep:
     """Fit every (tau, rank, algorithm) combination over seeded trials.
 
@@ -260,16 +252,13 @@ def rank_sweep(
     if min(ranks) < 1:
         raise ValueError(f"ranks must be >= 1, got {ranks}")
     base_opts = opts if opts is not None else OptimizeOptions()
-    trial_children = np.random.SeedSequence(spec.seed).spawn(n_trials)
-
-    def run_trial(args):
-        t_index, child = args
+    records = []
+    for t_index, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_trials)):
         data_child, init_child = child.spawn(2)
         data_seed = int(data_child.generate_state(1, np.uint64)[0])
         init_seed = int(init_child.generate_state(1, np.uint64)[0])
         sim = generate(replace(spec, seed=data_seed))
         xn, info = normalize(sim.x)
-        rows = []
         for tau in taus:
             for rank in ranks:
                 start = initial_model(info.row_means, info.col_means, rank, init_seed)
@@ -277,7 +266,7 @@ def rank_sweep(
                     algo_opts = replace(base_opts, algorithm=algo)
                     cfg = FitConfig(tau=tau, k=rank, opts=algo_opts, warm_start=start)
                     report = fit(xn, info.row_means, info.col_means, cfg)
-                    rows.append(
+                    records.append(
                         {
                             "trial": t_index,
                             "tau": float(tau),
@@ -288,13 +277,6 @@ def rank_sweep(
                             "seconds": report.elapsed_seconds,
                         }
                     )
-        return rows
-
-    records = [
-        row
-        for rows in map_indexed(run_trial, list(enumerate(trial_children)), threads)
-        for row in rows
-    ]
     aggregate = []
     for tau in taus:
         for rank in ranks:

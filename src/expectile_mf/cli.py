@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import json
-import os
 import secrets
 import sys
 import time
@@ -37,11 +36,12 @@ from .masked import (
     masked_col_means,
     masked_row_means,
     normalize,
+    open_input,
     read_matrix_csv,
     write_matrix_csv,
 )
 from .model import model_from_dict, save_model_json
-from .optim import ALGORITHMS, OptimizeOptions
+from .optim import ALGORITHMS, STATUS_GRAD_TOL, OptimizeOptions
 from .pipeline import FitConfig, FitReport, fit, tau_sweep
 from .simulate import SimulationSpec, generate
 
@@ -130,17 +130,8 @@ _seed_options = [
 
 @click.group()
 @click.version_option(__version__)
-@click.option(
-    "--threads",
-    type=int,
-    default=None,
-    envvar="EXPECTILE_MF_THREADS",
-    help="Worker threads for the bench harnesses (default: available parallelism).",
-)
-@click.pass_context
-def cli(ctx, threads):
+def cli():
     """Low-rank expectile matrix fitting: simulate, fit, analyze."""
-    ctx.obj = {"threads": threads if threads else (os.cpu_count() or 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +202,12 @@ def _default_pivot(n_rows, rank, orient_pivot):
     return ORIENT_PIVOT_288 if n_rows == 288 and rank == 1 else None
 
 
+def _warn_unconverged(tau, report: FitReport) -> None:
+    if report.status != STATUS_GRAD_TOL:
+        click.echo(f"warning: fit at tau {tau:g} stopped with status {report.status} "
+                   f"after {report.iterations} iterations", err=True)
+
+
 def _report_doc(report: FitReport) -> dict:
     return {
         "final_loss": report.final_loss,
@@ -277,6 +274,7 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
         },
         [seed], [input_path], [output, report_path], started,
     )
+    _warn_unconverged(tau, report)
     click.echo(f"final loss {_fmt(report.final_loss)} ({report.status}); wrote {output}")
 
 
@@ -290,6 +288,11 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
     started = time.perf_counter()
     seed = _resolve_seed(seed, entropy)
     tau_values = _parse_list(taus, float)
+    for i, tau in enumerate(tau_values):
+        for other in tau_values[:i]:
+            if f"{other:g}" == f"{tau:g}":
+                raise click.UsageError(
+                    f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
     x, info = _prepare_fit_input(input_path, header, normalization_path, no_normalize)
     config = FitConfig(
         tau=0.5,
@@ -310,6 +313,7 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
         _write_json(out_dir / f"report_tau{tau:g}.json", _report_doc(report))
         outputs += [model_path, out_dir / f"report_tau{tau:g}.json"]
         summary_rows.append([tau, report.final_loss, report.iterations, report.status])
+        _warn_unconverged(tau, report)
     summary_path = out_dir / "sweep_summary.csv"
     _write_csv(summary_path, ["tau", "final_loss", "iterations", "status"], summary_rows)
     outputs.append(summary_path)
@@ -357,7 +361,7 @@ def icc_cmd(input_path, out):
     """Between-group share of variance for grouped values."""
     started = time.perf_counter()
     groups, values = [], []
-    with open(input_path, "r", encoding="utf-8") as fh:
+    with open_input(input_path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -462,8 +466,7 @@ _sim_spec_options = [
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
-@click.pass_context
-def compare_algos_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, datasets,
+def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, entropy, datasets,
                       inits, tau, rank, grad_tol, max_iters, out_csv, out_json):
     """Race bfgs/lbfgs/cg over datasets with shared initializations."""
     started = time.perf_counter()
@@ -473,7 +476,6 @@ def compare_algos_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, data
     result = compare_algorithms(
         spec, datasets, inits, tau, rank,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
-        threads=ctx.obj["threads"],
     )
     header = ["dataset"]
     for algo in ALGORITHMS:
@@ -505,8 +507,7 @@ def compare_algos_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, data
 @_with_options(_seed_options)
 @click.option("--out-loss-csv", type=click.Path(), required=True)
 @click.option("--out-mad-csv", type=click.Path(), required=True)
-@click.pass_context
-def resilience_cmd(ctx, input_path, header, trials, tau, rank, algorithm, grad_tol,
+def resilience_cmd(input_path, header, trials, tau, rank, algorithm, grad_tol,
                    max_iters, seed, entropy, out_loss_csv, out_mad_csv):
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
     started = time.perf_counter()
@@ -517,7 +518,7 @@ def resilience_cmd(ctx, input_path, header, trials, tau, rank, algorithm, grad_t
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
         seed=seed,
     )
-    result = init_resilience(x, config, trials, threads=ctx.obj["threads"])
+    result = init_resilience(x, config, trials)
 
     def matrix_rows(mat):
         return [[i] + list(mat[i]) for i in range(mat.shape[0])]
@@ -547,8 +548,7 @@ def resilience_cmd(ctx, input_path, header, trials, tau, rank, algorithm, grad_t
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
-@click.pass_context
-def rank_sweep_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, ranks, taus,
+def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, entropy, ranks, taus,
                    algorithms, trials, grad_tol, max_iters, out_csv, out_json):
     """Mean loss/iterations/time per (tau, rank, algorithm) over seeded trials."""
     started = time.perf_counter()
@@ -562,7 +562,6 @@ def rank_sweep_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, ranks, 
         _parse_algorithms(algorithms),
         n_trials=trials,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
-        threads=ctx.obj["threads"],
     )
     header = ["trial", "tau", "rank", "algorithm", "loss", "iterations", "seconds"]
     _write_csv(Path(out_csv), header, [[rec[h] for h in header] for rec in result.records])
@@ -582,7 +581,7 @@ def rank_sweep_cmd(ctx, rows, cols, true_rank, sigma, na, seed, entropy, ranks, 
 def main(argv=None) -> int:
     """Entry point with spec'd exit codes (0 ok, 1 usage, 2 data/convergence)."""
     try:
-        cli.main(args=argv, standalone_mode=False, obj={})
+        cli.main(args=argv, standalone_mode=False)
         return 0
     except click.ClickException as exc:
         exc.show(file=sys.stderr)

@@ -16,7 +16,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import EmptyInput, ParseError
-from .masked import MaskedMatrix, NormalizationInfo, drop_sparse_columns, normalize
+from .masked import MaskedMatrix, NormalizationInfo, drop_sparse_columns, normalize, open_input
 
 SEGMENTS_PER_DAY = 288
 SECONDS_PER_SEGMENT = 300
@@ -90,24 +90,31 @@ def read_records_csv(
 ) -> list[HeartRateRecord]:
     """Parse a header-ed CSV of records; column names are remappable."""
     records = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with open_input(path) as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise EmptyInput(f"{path} is empty")
         for col in (person_col, time_col, bpm_col):
-            if col not in reader.fieldnames:
-                raise ParseError(1, f"missing column {col!r} in header {reader.fieldnames}")
-        for line_no, row in enumerate(reader, start=2):
+            if col not in header:
+                raise ParseError(1, f"missing column {col!r} in header {header}")
+        person_at, time_at, bpm_at = (header.index(c) for c in (person_col, time_col, bpm_col))
+        for row in reader:
+            if not row:
+                continue
+            line_no = reader.line_num
+            if len(row) != len(header):
+                raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
             try:
-                ts = datetime.fromisoformat(row[time_col].strip())
-            except (ValueError, AttributeError):
-                raise ParseError(line_no, f"bad timestamp {row[time_col]!r}") from None
+                ts = datetime.fromisoformat(row[time_at].strip())
+            except ValueError:
+                raise ParseError(line_no, f"bad timestamp {row[time_at]!r}") from None
             try:
-                bpm = float(row[bpm_col])
-            except (TypeError, ValueError):
-                raise ParseError(line_no, f"bad bpm {row[bpm_col]!r}") from None
+                bpm = float(row[bpm_at])
+            except ValueError:
+                raise ParseError(line_no, f"bad bpm {row[bpm_at]!r}") from None
             try:
-                records.append(HeartRateRecord(row[person_col], ts, bpm))
+                records.append(HeartRateRecord(row[person_at], ts, bpm))
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
     if not records:

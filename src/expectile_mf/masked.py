@@ -9,11 +9,19 @@ written as "nan", parsed from "nan" or an empty field, case-insensitive).
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch, EmptyResult, NonFiniteValue, ParseError
+from .errors import (
+    DegenerateMatrix,
+    DimensionMismatch,
+    EmptyResult,
+    ExpectileMFError,
+    NonFiniteValue,
+    ParseError,
+)
 
 
 def _frozen_array(arr, dtype) -> np.ndarray:
@@ -198,12 +206,22 @@ def write_matrix_csv(x: MaskedMatrix, path, header: bool = False) -> None:
             )
 
 
+@contextmanager
+def open_input(path):
+    """Open a UTF-8 text input; bytes that do not decode are a data error naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def read_matrix_csv(path, header: bool = False) -> MaskedMatrix:
     values: list[list[float]] = []
     mask: list[list[bool]] = []
     line_numbers: list[int] = []
     width = None
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_input(path) as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
             if header and line_no == 1:

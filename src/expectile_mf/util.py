@@ -1,8 +1,6 @@
-"""Small shared helpers: seed derivation and deterministic parallel maps."""
+"""Seed derivation shared by the seeded studies and the benchmark."""
 
 from __future__ import annotations
-
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -11,16 +9,3 @@ def derive_seeds(seed: int, count: int) -> list[int]:
     """count independent child seeds from one parent, deterministically."""
     children = np.random.SeedSequence(seed).spawn(count)
     return [int(child.generate_state(1, np.uint64)[0]) for child in children]
-
-
-def map_indexed(fn, items, threads: int = 1) -> list:
-    """Apply fn over items, optionally on a thread pool.
-
-    Results come back in input order regardless of completion order, so the
-    output is independent of thread count.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

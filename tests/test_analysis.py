@@ -189,11 +189,9 @@ class TestCompareAlgorithms:
             for algo in ("bfgs", "lbfgs", "cg"):
                 assert row_a[f"{algo}_loss"] == row_b[f"{algo}_loss"]
 
-    def test_threads_do_not_change_losses(self):
-        a = compare_algorithms(tiny_spec(4), 3, 1, tau=0.5, k=1, threads=1)
-        b = compare_algorithms(tiny_spec(4), 3, 1, tau=0.5, k=1, threads=3)
-        for row_a, row_b in zip(a.per_dataset, b.per_dataset):
-            assert row_a["lbfgs_loss"] == row_b["lbfgs_loss"]
+    def test_only_one_thread_accepted(self):
+        with pytest.raises(ValueError, match="threads must be 1, got 2"):
+            compare_algorithms(tiny_spec(4), 1, 1, tau=0.5, k=1, threads=2)
 
 
 class TestRankSweep:

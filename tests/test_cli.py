@@ -81,7 +81,41 @@ class TestFit:
         assert code == 0
 
 
+class TestConvergenceWarning:
+    def test_capped_fit_warns_on_stderr(self, sim_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["fit", "--input", sim_csv, "--tau", 0.3, "--max-iters", 2,
+                    "--output", tmp_path / "model.json"]) == 0
+        err = capsys.readouterr().err
+        assert err == "warning: fit at tau 0.3 stopped with status max_iters after 2 iterations\n"
+
+    def test_converged_fit_is_silent(self, sim_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["fit", "--input", sim_csv, "--seed", 1, "--output", tmp_path / "m.json"]) == 0
+        report = json.loads((tmp_path / "m.report.json").read_text())
+        assert report["status"] == "grad_tolerance_met"
+        assert capsys.readouterr().err == ""
+
+    def test_tau_sweep_warns_per_capped_fit(self, sim_csv, tmp_path, capsys):
+        capsys.readouterr()
+        assert run(["tau-sweep", "--input", sim_csv, "--taus", "0.1,0.9", "--max-iters", 2,
+                    "--output-dir", tmp_path / "sweep"]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: fit at tau {tau} stopped with status max_iters after 2 iterations"
+            for tau in ("0.1", "0.9")
+        ]
+
+
 class TestTauSweep:
+    @pytest.mark.parametrize("taus", ["0.1,0.1000001", "0.5,0.1,0.5"])
+    def test_colliding_output_names_are_one(self, sim_csv, tmp_path, capsys, taus):
+        out_dir = tmp_path / "sweep"
+        capsys.readouterr()
+        assert run(["tau-sweep", "--input", sim_csv, "--taus", taus,
+                    "--output-dir", out_dir]) == 1
+        assert "both write model_tau" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     def test_sweep_outputs(self, sim_csv, tmp_path):
         out_dir = tmp_path / "sweep"
         code = run(["tau-sweep", "--input", sim_csv, "--taus", "0.1,0.5,0.9",
@@ -335,6 +369,22 @@ class TestExitCodes:
                         "--output", model_path]) == 0
             manifest = json.loads((tmp_path / f"model{rank}.json.manifest.json").read_text())
             assert manifest["config"]["orient_pivot"] == pivot
+
+    @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest"])
+    def test_non_utf8_input_is_two_naming_file(self, tmp_path, capsys, command):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"1,2\n3,\xff\n")
+        out = tmp_path / "out"
+        argv = {
+            "fit": ["fit", "--input", bad, "--output", out],
+            "expectiles": ["expectiles", "--input", bad, "--out", out],
+            "icc": ["icc", "--input", bad, "--out", out],
+            "ingest": ["ingest", "--input", bad, "--output", out, "--labels", tmp_path / "l.csv"],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert not out.exists()
 
     def test_parse_error_is_two(self, tmp_path):
         bad = tmp_path / "bad.csv"

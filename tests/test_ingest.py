@@ -164,6 +164,15 @@ class TestReadRecordsCsv:
             read_records_csv(path)
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("row, n_fields", [("2016-04-01T00:05:00,71", 2),
+                                               ("2016-04-01T00:05:00,71,p1,extra", 4)],
+                             ids=["short", "long"])
+    def test_wrong_field_count_line_number(self, tmp_path, row, n_fields):
+        path = tmp_path / "hr.csv"
+        path.write_text(f"timestamp,bpm,person_id\n2016-04-01T00:00:00,62,p1\n{row}\n")
+        with pytest.raises(ParseError, match=f"line 3: expected 3 fields, got {n_fields}"):
+            read_records_csv(path)
+
     def test_nonpositive_bpm_line_number(self, tmp_path):
         path = tmp_path / "hr.csv"
         path.write_text("person_id,timestamp,bpm\np1,2016-04-01T00:00:00,-3\n")

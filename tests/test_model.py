@@ -23,7 +23,6 @@ from expectile_mf import (
     unflatten,
 )
 from expectile_mf.masked import NormalizationInfo
-from expectile_mf.util import map_indexed
 from oracles import loop_loss_and_gradient, where_loss_and_gradient
 
 
@@ -192,25 +191,6 @@ class TestObjective:
         # Each call hands out its own gradient; later calls must not write into it.
         assert np.array_equal(first[1], kept)
         assert again[1] is not first[1]
-
-    def test_concurrent_objectives_match_sequential(self, rng):
-        jobs = []
-        for k, t in ((1, 0.1), (3, 0.9), (2, 0.5)):
-            model, x = poisoned_instance(rng, 60, 50, k)
-            vecs = [flatten(model) + rng.normal(size=flatten(model).size) for _ in range(30)]
-            jobs.append((x, t, k, vecs))
-
-        def run(job):
-            x, t, k, vecs = job
-            obj = Objective(x, t, k)
-            return [obj(vec) for vec in vecs]
-
-        sequential = map_indexed(run, jobs, threads=1)
-        threaded = map_indexed(run, jobs, threads=3)
-        for seq_job, thr_job in zip(sequential, threaded):
-            for (l1, g1), (l2, g2) in zip(seq_job, thr_job):
-                assert l1 == l2
-                assert np.array_equal(g1, g2)
 
     def test_length_mismatch(self, rng):
         _, x = random_instance(rng, n=3, p=4, k=1)
