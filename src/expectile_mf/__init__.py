@@ -7,13 +7,11 @@ weighted mean squared residual over the observed cells.
 
 from .analysis import (
     AlgoComparison,
-    DenormalizedParams,
     GroupedSeries,
     PairStudyResult,
     RankSweep,
     band_curves,
     compare_algorithms,
-    denormalize_params,
     icc,
     init_resilience,
     rank_sweep,
@@ -49,7 +47,6 @@ from .ingest import (
 from .masked import (
     MaskedMatrix,
     NormalizationInfo,
-    denormalize,
     drop_sparse_columns,
     global_stats,
     masked_col_means,
@@ -65,10 +62,8 @@ from .model import (
     canonicalize,
     fitted_matrix,
     flatten,
-    load_model_json,
     loss_and_gradient,
     orient_rank1,
-    save_model_json,
     unflatten,
 )
 from .optim import (

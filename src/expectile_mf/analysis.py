@@ -2,10 +2,9 @@
 
 Holds the variance-ratio ICC, the three seeded simulation studies
 (algorithm comparison, initialization resilience, rank sweep), and the
-original-scale parameter utilities (denormalized curves, band curves, the
-loss-to-RMSE conversion). Every harness is deterministic given its seeds;
-wall times are measured around the optimizer only and are the single
-non-reproducible output.
+original-scale band curves and loss-to-RMSE conversion. Every harness is
+deterministic given its seeds; wall times are measured around the optimizer
+only and are the single non-reproducible output.
 """
 
 from __future__ import annotations
@@ -66,26 +65,6 @@ def icc(data: GroupedSeries) -> float:
 def rmse_from_loss(loss: float, std: float) -> float:
     """Original-scale RMSE implied by a tau = 0.5 loss on normalized data."""
     return float(np.sqrt(2.0 * loss * std * std))
-
-
-@dataclass(frozen=True)
-class DenormalizedParams:
-    """Row-side parameters on the original scale; c and v stay normalized."""
-
-    r_dn: np.ndarray
-    u_dn: np.ndarray
-    c_norm: np.ndarray
-    v_norm: np.ndarray
-
-
-def denormalize_params(model: FactorModel, info: NormalizationInfo) -> DenormalizedParams:
-    """Scale the row effects and row factors back to the data's units."""
-    return DenormalizedParams(
-        r_dn=model.r * info.std,
-        u_dn=model.u * info.std,
-        c_norm=model.c.copy(),
-        v_norm=model.v.copy(),
-    )
 
 
 def band_curves(model: FactorModel, info: NormalizationInfo):
@@ -251,6 +230,10 @@ def rank_sweep(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if min(ranks) < 1:
         raise ValueError(f"ranks must be >= 1, got {ranks}")
+    for name, values in (("taus", [float(t) for t in taus]), ("ranks", ranks),
+                         ("algorithms", algorithms)):
+        if len(set(values)) != len(values):
+            raise ValueError(f"{name} must not repeat, got {values}")
     base_opts = opts if opts is not None else OptimizeOptions()
     records = []
     for t_index, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_trials)):

@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Every subcommand is seeded (a fixed default seed unless --entropy is
-given), writes machine-readable outputs with 17 significant digits, and
-drops a manifest JSON next to its primary output recording the resolved
-configuration. Exit codes: 0 success, 1 usage error, 2 data or convergence
-error.
+Every seeded subcommand takes --seed (default 20160229) and records it in
+its manifest. Matrix CSVs have no header row. fit and tau-sweep normalize
+their input unless --normalization names an ingest sidecar. Outputs carry
+17 significant digits, and a manifest JSON next to the primary output
+records the resolved configuration. Exit codes: 0 success, 1 usage error,
+2 data or convergence error.
 """
 
 from __future__ import annotations
 
 import json
-import secrets
 import sys
 import time
 from dataclasses import asdict
@@ -33,14 +33,12 @@ from .expectiles import marginal_expectile_curves
 from .ingest import bin_records, filter_and_normalize, read_records_csv
 from .masked import (
     NormalizationInfo,
-    masked_col_means,
-    masked_row_means,
     normalize,
     open_input,
     read_matrix_csv,
     write_matrix_csv,
 )
-from .model import model_from_dict, save_model_json
+from .model import model_from_dict, model_to_dict
 from .optim import ALGORITHMS, STATUS_GRAD_TOL, OptimizeOptions
 from .pipeline import FitConfig, FitReport, fit, tau_sweep
 from .simulate import SimulationSpec, generate
@@ -80,12 +78,6 @@ def _manifest(primary_output, subcommand, config, seeds, inputs, outputs, starte
     _write_json(path.with_name(path.name + ".manifest.json"), doc)
 
 
-def _resolve_seed(seed, entropy) -> int:
-    if entropy:
-        return secrets.randbits(63)
-    return DEFAULT_SEED if seed is None else seed
-
-
 def _parse_list(text, kind) -> list:
     """Non-empty comma-separated list of kind (float or int)."""
     try:
@@ -122,10 +114,8 @@ def _with_options(options):
     return wrap
 
 
-_seed_options = [
-    click.option("--seed", type=int, default=None, help=f"PRNG seed (default {DEFAULT_SEED})."),
-    click.option("--entropy", is_flag=True, help="Use a fresh random seed instead of the default."),
-]
+_seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
+                            help="PRNG seed.")
 
 
 @click.group()
@@ -149,12 +139,11 @@ def cli():
 @click.option("--c-sd", type=float, default=1.0, show_default=True)
 @click.option("--u-sd", type=float, default=1.0, show_default=True)
 @click.option("--v-sd", type=float, default=1.0, show_default=True)
-@_with_options(_seed_options)
+@_seed_option
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
-def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, entropy, out):
+def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, out):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
     spec = SimulationSpec(
         m=rows, n=cols, r_sd=r_sd, c_sd=c_sd, u_sd=u_sd, v_sd=v_sd,
         sigma=sigma, na_portion=na, true_rank=true_rank, seed=seed,
@@ -182,18 +171,18 @@ def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, ent
 # ---------------------------------------------------------------------------
 
 
-def _prepare_fit_input(input_path, header, normalization_path, no_normalize):
-    """Returns (normalized matrix, info). Raw input is normalized here unless
-    a precomputed normalization sidecar is supplied or normalization is off."""
-    x = read_matrix_csv(input_path, header=header)
-    if normalization_path is not None:
-        return x, _load_json(normalization_path, NormalizationInfo.from_dict)
-    if no_normalize:
-        info = NormalizationInfo(
-            mean=0.0, std=1.0, row_means=masked_row_means(x), col_means=masked_col_means(x)
-        )
-        return x, info
-    return normalize(x)
+def _prepare_fit_input(input_path, normalization_path):
+    """Returns (normalized matrix, info): the input normalized here, or the
+    input as given with the ingest sidecar that normalized it."""
+    x = read_matrix_csv(input_path)
+    if normalization_path is None:
+        return normalize(x)
+    info = _load_json(normalization_path, NormalizationInfo.from_dict)
+    if (info.row_means.size, info.col_means.size) != (x.n_rows, x.n_cols):
+        raise ExpectileMFError(
+            f"{normalization_path}: {info.row_means.size} row and {info.col_means.size} "
+            f"column means for a {x.n_rows}x{x.n_cols} matrix")
+    return x, info
 
 
 def _default_pivot(n_rows, rank, orient_pivot):
@@ -221,18 +210,16 @@ def _report_doc(report: FitReport) -> dict:
 
 _fit_options = [
     click.option("--input", "input_path", type=click.Path(exists=True), required=True),
-    click.option("--header/--no-header", default=False, help="Input CSV has a header row."),
     click.option("--rank", type=int, default=1, show_default=True),
     click.option("--algorithm", type=click.Choice(ALGORITHMS), default="lbfgs", show_default=True),
     click.option("--restarts", type=int, default=1, show_default=True),
-    *_seed_options,
+    _seed_option,
     click.option("--grad-tol", type=float, default=1e-6, show_default=True),
     click.option("--max-iters", type=int, default=500, show_default=True),
     click.option("--orient-pivot", type=int, default=None,
                  help="Rank-1 sign pivot row (default 72 for a rank-1 fit of 288 rows)."),
     click.option("--normalization", "normalization_path", type=click.Path(exists=True),
                  default=None, help="JSON sidecar with mean/std/row/col means of the input."),
-    click.option("--no-normalize", is_flag=True, help="Treat the input as already normalized."),
 ]
 
 
@@ -241,13 +228,11 @@ _fit_options = [
 @click.option("--tau", type=float, default=0.5, show_default=True)
 @click.option("--warm-start", "warm_start_path", type=click.Path(exists=True), default=None)
 @click.option("--output", type=click.Path(), required=True, help="Model JSON path.")
-def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_tol,
-            max_iters, orient_pivot, normalization_path, no_normalize, tau,
-            warm_start_path, output):
+def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, orient_pivot,
+            normalization_path, tau, warm_start_path, output):
     """Fit one model; writes model JSON plus a report JSON."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
-    x, info = _prepare_fit_input(input_path, header, normalization_path, no_normalize)
+    x, info = _prepare_fit_input(input_path, normalization_path)
     warm = None
     if warm_start_path is not None:
         warm, _, _ = _load_json(warm_start_path, model_from_dict)
@@ -262,7 +247,7 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
     )
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
-    save_model_json(output, report.model, tau=tau, normalization=info)
+    _write_json(output, model_to_dict(report.model, tau, info))
     report_path = output.with_name(output.stem + ".report.json")
     _write_json(report_path, _report_doc(report))
     _manifest(
@@ -270,7 +255,7 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
         {
             "input": str(input_path), "tau": tau, "rank": rank, "algorithm": algorithm,
             "restarts": restarts, "grad_tol": grad_tol, "max_iters": max_iters,
-            "orient_pivot": config.orient_pivot, "normalized_by_cli": normalization_path is None and not no_normalize,
+            "orient_pivot": config.orient_pivot, "normalized_by_cli": normalization_path is None,
         },
         [seed], [input_path], [output, report_path], started,
     )
@@ -282,18 +267,17 @@ def fit_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_t
 @_with_options(_fit_options)
 @click.option("--taus", default="0.1,0.5,0.9", show_default=True)
 @click.option("--output-dir", type=click.Path(), required=True)
-def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, grad_tol,
-                  max_iters, orient_pivot, normalization_path, no_normalize, taus, output_dir):
+def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters,
+                  orient_pivot, normalization_path, taus, output_dir):
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
     tau_values = _parse_list(taus, float)
     for i, tau in enumerate(tau_values):
         for other in tau_values[:i]:
             if f"{other:g}" == f"{tau:g}":
                 raise click.UsageError(
                     f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
-    x, info = _prepare_fit_input(input_path, header, normalization_path, no_normalize)
+    x, info = _prepare_fit_input(input_path, normalization_path)
     config = FitConfig(
         tau=0.5,
         k=rank,
@@ -309,7 +293,7 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
     summary_rows = []
     for tau, report in zip(tau_values, reports):
         model_path = out_dir / f"model_tau{tau:g}.json"
-        save_model_json(model_path, report.model, tau=tau, normalization=info)
+        _write_json(model_path, model_to_dict(report.model, tau, info))
         _write_json(out_dir / f"report_tau{tau:g}.json", _report_doc(report))
         outputs += [model_path, out_dir / f"report_tau{tau:g}.json"]
         summary_rows.append([tau, report.final_loss, report.iterations, report.status])
@@ -333,14 +317,13 @@ def tau_sweep_cmd(input_path, header, rank, algorithm, restarts, seed, entropy, 
 
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--header/--no-header", default=False)
 @click.option("--taus", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", show_default=True)
 @click.option("--out", type=click.Path(), required=True)
-def expectiles(input_path, header, taus, out):
+def expectiles(input_path, taus, out):
     """Marginal expectile curves per matrix row (long CSV: row_index, tau, expectile)."""
     started = time.perf_counter()
     tau_values = _parse_list(taus, float)
-    x = read_matrix_csv(input_path, header=header)
+    x = read_matrix_csv(input_path)
     curves = marginal_expectile_curves(x, tau_values)
     rows = [
         [i, tau_values[j], curves[i, j]]
@@ -452,7 +435,7 @@ _sim_spec_options = [
     click.option("--true-rank", type=int, default=2, show_default=True),
     click.option("--sigma", type=float, default=0.3, show_default=True),
     click.option("--na", type=float, default=0.3, show_default=True),
-    *_seed_options,
+    _seed_option,
 ]
 
 
@@ -466,11 +449,10 @@ _sim_spec_options = [
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
-def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, entropy, datasets,
+def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
                       inits, tau, rank, grad_tol, max_iters, out_csv, out_json):
     """Race bfgs/lbfgs/cg over datasets with shared initializations."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
     spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
                           true_rank=true_rank, seed=seed)
     result = compare_algorithms(
@@ -497,22 +479,20 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, entropy, datasets,
 @bench.command(name="resilience")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
               help="Normalized matrix CSV (e.g. from simulate + fit preprocessing).")
-@click.option("--header/--no-header", default=False)
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--tau", type=float, default=0.2, show_default=True)
 @click.option("--rank", type=int, default=3, show_default=True)
 @click.option("--algorithm", type=click.Choice(ALGORITHMS), default="cg", show_default=True)
 @click.option("--grad-tol", type=float, default=1e-9, show_default=True)
 @click.option("--max-iters", type=int, default=5000, show_default=True)
-@_with_options(_seed_options)
+@_seed_option
 @click.option("--out-loss-csv", type=click.Path(), required=True)
 @click.option("--out-mad-csv", type=click.Path(), required=True)
-def resilience_cmd(input_path, header, trials, tau, rank, algorithm, grad_tol,
-                   max_iters, seed, entropy, out_loss_csv, out_mad_csv):
+def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
+                   max_iters, seed, out_loss_csv, out_mad_csv):
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
-    x = read_matrix_csv(input_path, header=header)
+    x = read_matrix_csv(input_path)
     config = FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
@@ -548,11 +528,10 @@ def resilience_cmd(input_path, header, trials, tau, rank, algorithm, grad_tol,
 @click.option("--max-iters", type=int, default=500, show_default=True)
 @click.option("--out-csv", type=click.Path(), required=True)
 @click.option("--out-json", type=click.Path(), required=True)
-def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, entropy, ranks, taus,
+def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
                    algorithms, trials, grad_tol, max_iters, out_csv, out_json):
     """Mean loss/iterations/time per (tau, rank, algorithm) over seeded trials."""
     started = time.perf_counter()
-    seed = _resolve_seed(seed, entropy)
     spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
                           true_rank=true_rank, seed=seed)
     result = rank_sweep(

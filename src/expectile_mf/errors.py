@@ -46,7 +46,7 @@ class RankNotOne(ExpectileMFError):
 
 
 class NonFiniteValue(ExpectileMFError):
-    """An observed matrix cell holds NaN or an infinity."""
+    """An observed matrix cell or a model parameter holds NaN or an infinity."""
 
 
 class NonFiniteObjective(ExpectileMFError):

@@ -100,8 +100,11 @@ class NormalizationInfo:
             raise ValueError(f"mean and std must be finite, got {self.mean} and {self.std}")
         if self.std <= 0.0:
             raise ValueError(f"std must be positive, got {self.std}")
-        object.__setattr__(self, "row_means", _frozen_array(self.row_means, float))
-        object.__setattr__(self, "col_means", _frozen_array(self.col_means, float))
+        for name in ("row_means", "col_means"):
+            means = _frozen_array(getattr(self, name), float)
+            if not np.isfinite(means).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, means)
 
     def to_dict(self) -> dict:
         """JSON form, shared by the ingest sidecar and the model file."""
@@ -173,12 +176,6 @@ def normalize(x: MaskedMatrix) -> tuple[MaskedMatrix, NormalizationInfo]:
     return xn, info
 
 
-def denormalize(xn: MaskedMatrix, info: NormalizationInfo) -> MaskedMatrix:
-    """Inverse of normalize on observed entries."""
-    values = np.where(xn.mask, xn.values * info.std + info.mean, 0.0)
-    return MaskedMatrix(values, xn.mask)
-
-
 def drop_sparse_columns(
     x: MaskedMatrix, max_missing_fraction: float
 ) -> tuple[MaskedMatrix, np.ndarray]:
@@ -195,11 +192,9 @@ def drop_sparse_columns(
     return MaskedMatrix(x.values[:, kept], x.mask[:, kept]), kept
 
 
-def write_matrix_csv(x: MaskedMatrix, path, header: bool = False) -> None:
+def write_matrix_csv(x: MaskedMatrix, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        if header:
-            writer.writerow([f"c{j}" for j in range(x.n_cols)])
         for i in range(x.n_rows):
             writer.writerow(
                 [f"{x.values[i, j]:.17g}" if x.mask[i, j] else "nan" for j in range(x.n_cols)]
@@ -216,7 +211,7 @@ def open_input(path):
         raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def read_matrix_csv(path, header: bool = False) -> MaskedMatrix:
+def read_matrix_csv(path) -> MaskedMatrix:
     values: list[list[float]] = []
     mask: list[list[bool]] = []
     line_numbers: list[int] = []
@@ -224,8 +219,6 @@ def read_matrix_csv(path, header: bool = False) -> MaskedMatrix:
     with open_input(path) as fh:
         reader = csv.reader(fh)
         for line_no, row in enumerate(reader, start=1):
-            if header and line_no == 1:
-                continue
             if not row:
                 continue
             if width is None:

@@ -9,7 +9,6 @@ the weight switch (at the switch, the residual-zero convention applies).
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -19,6 +18,7 @@ from .errors import (
     DimensionMismatch,
     EmptyMask,
     LengthMismatch,
+    NonFiniteValue,
     RankNotOne,
     ZeroColumnWarning,
 )
@@ -36,7 +36,7 @@ def _frozen(arr) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FactorModel:
-    """Parameters (r, c, u, v) of the fitted representation."""
+    """Parameters (r, c, u, v) of the fitted representation; all finite."""
 
     r: np.ndarray
     c: np.ndarray
@@ -54,6 +54,8 @@ class FactorModel:
         if u.shape[1] < 1:
             raise DimensionMismatch("rank k must be >= 1")
         for name, a in (("r", r), ("c", c), ("u", u), ("v", v)):
+            if not np.isfinite(a).all():
+                raise NonFiniteValue(f"{name} holds a non-finite value")
             object.__setattr__(self, name, a)
 
     @property
@@ -241,24 +243,14 @@ def model_to_dict(
 
 def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, NormalizationInfo | None]":
     n, p, k = int(doc["n"]), int(doc["p"]), int(doc["k"])
-    model = FactorModel(
-        np.asarray(doc["r"], dtype=float),
-        np.asarray(doc["c"], dtype=float),
-        np.asarray(doc["u"], dtype=float).reshape(n, k),
-        np.asarray(doc["v"], dtype=float).reshape(p, k),
-    )
+    r, c, u, v = (np.asarray(doc[name], dtype=float) for name in "rcuv")
+    if (r.size, c.size, u.size, v.size) != (n, p, n * k, p * k):
+        raise DimensionMismatch(
+            f"declared n={n}, p={p}, k={k} but r, c, u, v hold "
+            f"{r.size}, {c.size}, {u.size}, {v.size} values"
+        )
+    model = FactorModel(r, c, u.reshape(n, k), v.reshape(p, k))
     nd = doc.get("normalization")
     info = NormalizationInfo.from_dict(nd) if nd is not None else None
     tau = doc.get("tau")
     return model, (float(tau) if tau is not None else None), info
-
-
-def save_model_json(path, model, tau=None, normalization=None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, tau, normalization), fh, indent=1)
-        fh.write("\n")
-
-
-def load_model_json(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))

@@ -13,7 +13,6 @@ from expectile_mf import (
     SimulationSpec,
     band_curves,
     compare_algorithms,
-    denormalize_params,
     generate,
     icc,
     init_resilience,
@@ -83,29 +82,23 @@ class TestRmseFromLoss:
         assert abs(rmse_from_loss(0.2658, 16.0) - 11.667) < 5e-3
 
 
-class TestDenormalizeParams:
-    def test_identity_scale(self, rng):
-        m = FactorModel(rng.normal(size=4), rng.normal(size=3),
-                        rng.normal(size=(4, 1)), rng.normal(size=(3, 1)))
-        info = NormalizationInfo(mean=0.0, std=1.0, row_means=np.zeros(4), col_means=np.zeros(3))
-        out = denormalize_params(m, info)
-        np.testing.assert_array_equal(out.r_dn, m.r)
-        np.testing.assert_array_equal(out.u_dn, m.u)
-
-    def test_scaling_arithmetic(self):
-        m = FactorModel(np.array([0.5]), np.array([0.25]),
-                        np.array([[0.5]]), np.array([[1.0]]))
-        info = NormalizationInfo(mean=60.0, std=16.0, row_means=np.zeros(1), col_means=np.zeros(1))
-        out = denormalize_params(m, info)
-        assert out.r_dn[0] == 8.0
-        assert out.u_dn[0, 0] == 8.0
-        assert out.c_norm[0] == 0.25  # stays on the normalized scale
-        assert out.v_norm[0, 0] == 1.0
-
-
 class TestBandCurves:
     def make_info(self, n, p, std=2.0):
         return NormalizationInfo(mean=1.0, std=std, row_means=np.zeros(n), col_means=np.zeros(p))
+
+    def test_identity_scale(self, rng):
+        m = FactorModel(rng.normal(size=4), rng.normal(size=3),
+                        rng.normal(size=(4, 1)), rng.normal(size=(3, 1)))
+        lower, center, upper = band_curves(m, self.make_info(4, 3, std=1.0))
+        np.testing.assert_array_equal(center, m.r)
+        np.testing.assert_array_equal(upper, m.r + float(np.std(m.v[:, 0])) * m.u[:, 0])
+
+    def test_scaling_arithmetic(self):
+        # v = (1, -1) has std 1, so the half-width is exactly u * std.
+        m = FactorModel(np.array([0.5]), np.array([0.25, -0.25]),
+                        np.array([[0.5]]), np.array([[1.0], [-1.0]]))
+        lower, center, upper = band_curves(m, self.make_info(1, 2, std=16.0))
+        assert (lower[0], center[0], upper[0]) == (0.0, 8.0, 16.0)
 
     def test_constant_v_collapses_band(self, rng):
         m = FactorModel(rng.normal(size=5), rng.normal(size=4),
@@ -219,8 +212,19 @@ class TestRankSweep:
         with pytest.raises(ValueError):
             rank_sweep(tiny_spec(), [], [1], ["lbfgs"])
 
-    @pytest.mark.parametrize("ranks, n_trials", [([1], 0), ([1, 0], 1)], ids=["trials", "ranks"])
-    def test_bad_counts_rejected_before_any_data(self, monkeypatch, ranks, n_trials):
+    @pytest.mark.parametrize(
+        "taus, ranks, algorithms, n_trials, message",
+        [
+            ([0.5], [1], ["lbfgs"], 0, "n_trials must be >= 1"),
+            ([0.5], [1, 0], ["lbfgs"], 1, "ranks must be >= 1"),
+            ([0.5, 0.5], [1], ["lbfgs"], 1, "taus must not repeat"),
+            ([0.5], [2, 1, 2], ["lbfgs"], 1, "ranks must not repeat"),
+            ([0.5], [1], ["lbfgs", "cg", "lbfgs"], 1, "algorithms must not repeat"),
+        ],
+        ids=["trials", "ranks", "repeated-taus", "repeated-ranks", "repeated-algorithms"],
+    )
+    def test_bad_counts_rejected_before_any_data(self, monkeypatch, taus, ranks, algorithms,
+                                                 n_trials, message):
         monkeypatch.setattr(analysis, "generate", lambda spec: pytest.fail("data generated"))
-        with pytest.raises(ValueError, match=">= 1"):
-            rank_sweep(tiny_spec(), [0.5], ranks, ["lbfgs"], n_trials=n_trials)
+        with pytest.raises(ValueError, match=message):
+            rank_sweep(tiny_spec(), taus, ranks, algorithms, n_trials=n_trials)

@@ -5,12 +5,15 @@ import pytest
 
 from expectile_mf import (
     MaskedMatrix,
-    load_model_json,
     loss_and_gradient,
     read_matrix_csv,
     write_matrix_csv,
 )
 from expectile_mf.cli import main
+from expectile_mf.model import model_from_dict
+
+
+NAN = float("nan")
 
 
 def run(argv):
@@ -65,7 +68,7 @@ class TestFit:
         run(["fit", "--input", sim_csv, "--tau", 0.3, "--rank", 1,
              "--seed", 1, "--output", model_path])
         report = json.loads((tmp_path / "model.report.json").read_text())
-        model, tau, info = load_model_json(model_path)
+        model, tau, info = model_from_dict(json.loads(model_path.read_text()))
         x = read_matrix_csv(sim_csv)
         scaled = np.where(x.mask, (x.values - info.mean) / info.std, 0.0)
         xn = MaskedMatrix(scaled, x.mask)
@@ -303,6 +306,15 @@ class TestExitCodes:
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", "1,0", "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "ranks must be >= 1, got [1, 0]"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--taus", "0.5,0.5", "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "taus must not repeat, got [0.5, 0.5]"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", "1,1", "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "ranks must not repeat, got [1, 1]"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,LBFGS",
+              "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
+             "algorithms must not repeat, got ['lbfgs', 'lbfgs']"),
             (["bench", "resilience", "--input", "X.csv", "--rank", 0,
               "--out-loss-csv", "out.csv", "--out-mad-csv", "out2.csv"],
              "k must be >= 1"),
@@ -317,7 +329,8 @@ class TestExitCodes:
              "orient_pivot -1 out of range for 30 rows"),
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
-             "rank-sweep-ranks", "resilience", "expectiles",
+             "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
+             "rank-sweep-repeated-algorithms", "resilience", "expectiles",
              "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
@@ -339,9 +352,17 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({k: v for k, v in m.items() if k != "p"})),
             ("--warm-start", lambda m: json.dumps({**m, "u": m["u"][:-1]})),
             ("--model", lambda m: json.dumps({**m, "normalization": None})),
+            ("--model", lambda m: json.dumps({**m, "u": [NAN] + m["u"][1:]})),
+            ("--warm-start", lambda m: json.dumps({**m, "u": [NAN] + m["u"][1:]})),
+            ("--normalization", lambda m: json.dumps(
+                {**m["normalization"], "row_means": [NAN] + m["normalization"]["row_means"][1:]})),
+            ("--model", lambda m: json.dumps({**m, "n": -1})),
+            ("--normalization", lambda m: json.dumps(
+                {**m["normalization"], "col_means": m["normalization"]["col_means"][:-1]})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
-             "model-without-normalization"],
+             "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
+             "model-n-negative", "sidecar-col-means-short"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

@@ -13,7 +13,6 @@ from expectile_mf import (
     NonFiniteValue,
     NormalizationInfo,
     ParseError,
-    denormalize,
     drop_sparse_columns,
     global_stats,
     masked_col_means,
@@ -188,9 +187,9 @@ class TestNormalize:
         for _ in range(10):
             x = random_masked(rng, 8, 7)
             xn, info = normalize(x)
-            back = denormalize(xn, info)
             obs = x.mask
-            np.testing.assert_allclose(back.values[obs], x.values[obs], rtol=1e-12)
+            back = xn.values[obs] * info.std + info.mean
+            np.testing.assert_allclose(back, x.values[obs], rtol=1e-12)
 
     def test_empty_rows_and_cols_get_zero_mean(self):
         values = [[1.0, 0.0], [2.0, 0.0], [0.0, 0.0]]
@@ -263,13 +262,6 @@ class TestMatrixCsv:
         assert np.array_equal(back.mask, x.mask)
         np.testing.assert_array_equal(back.values[back.mask], x.values[x.mask])
 
-    def test_header_flag(self, tmp_path, rng):
-        x = random_masked(rng, 3, 4)
-        path = tmp_path / "m.csv"
-        write_matrix_csv(x, path, header=True)
-        back = read_matrix_csv(path, header=True)
-        assert back.n_rows == 3
-
     def test_missing_cell_spellings(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.5,,nan\nNaN,2.0,NAN\n")
@@ -287,9 +279,9 @@ class TestMatrixCsv:
     @pytest.mark.parametrize("cell", ["inf", "-Infinity", "-nan", "1e999"])
     def test_non_finite_cell_located(self, tmp_path, cell):
         path = tmp_path / "m.csv"
-        path.write_text(f"c0,c1,c2\n1,2,3\n\n4,5,{cell}\n")
+        path.write_text(f"0,0,0\n1,2,3\n\n4,5,{cell}\n")
         with pytest.raises(ParseError) as err:
-            read_matrix_csv(path, header=True)
+            read_matrix_csv(path)
         assert err.value.line_number == 4
         assert "column 3" in str(err.value)
 

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -16,13 +18,12 @@ from expectile_mf import (
     finite_difference_gradient,
     fitted_matrix,
     flatten,
-    load_model_json,
     loss_and_gradient,
     orient_rank1,
-    save_model_json,
     unflatten,
 )
 from expectile_mf.masked import NormalizationInfo
+from expectile_mf.model import model_from_dict, model_to_dict
 from oracles import loop_loss_and_gradient, where_loss_and_gradient
 
 
@@ -291,26 +292,26 @@ class TestOrientRank1:
             orient_rank1(m, 7)
 
 
+def json_round_trip(model, tau, normalization=None):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model, tau, normalization))))
+
+
 class TestModelJson:
-    def test_round_trip_with_normalization(self, tmp_path, rng):
+    def test_round_trip_with_normalization(self, rng):
         m = random_model(rng, 5, 4, 2)
         info = NormalizationInfo(
             mean=3.25, std=1.75, row_means=rng.normal(size=5), col_means=rng.normal(size=4)
         )
-        path = tmp_path / "model.json"
-        save_model_json(path, m, tau=0.7, normalization=info)
-        back, tau, back_info = load_model_json(path)
+        back, tau, back_info = json_round_trip(m, 0.7, info)
         assert tau == 0.7
         assert np.array_equal(back.r, m.r)
         assert np.array_equal(back.u, m.u)
         assert back_info.std == info.std
         np.testing.assert_array_equal(back_info.row_means, info.row_means)
 
-    def test_round_trip_loss_exact(self, tmp_path, rng):
+    def test_round_trip_loss_exact(self, rng):
         model, x = random_instance(rng)
-        path = tmp_path / "model.json"
-        save_model_json(path, model, tau=0.4)
-        back, tau, _ = load_model_json(path)
+        back, tau, _ = json_round_trip(model, 0.4)
         l0 = loss_and_gradient(model, x, 0.4).loss
         l1 = loss_and_gradient(back, x, tau).loss
         assert abs(l0 - l1) < 1e-12
