@@ -236,6 +236,10 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
     warm = None
     if warm_start_path is not None:
         warm, _, _ = _load_json(warm_start_path, model_from_dict)
+        if (warm.n, warm.p, warm.k) != (x.n_rows, x.n_cols, rank):
+            raise ExpectileMFError(
+                f"{warm_start_path}: warm start is ({warm.n}, {warm.p}, {warm.k}), "
+                f"expected ({x.n_rows}, {x.n_cols}, {rank})")
     config = FitConfig(
         tau=tau,
         k=rank,

@@ -62,24 +62,38 @@ def bin_records(records) -> PersonDayMatrix:
     """Median-aggregate a record stream into the person-day matrix.
 
     Order-independent: every record lands in exactly one (person, date,
-    segment) cell, and the median does not care about arrival order.
+    segment) cell, and one sort by (cell, bpm) puts each cell's readings in
+    order, so its median is the middle reading, or the mean of the two
+    middle readings for an even count.
     """
-    cells: dict[tuple[str, date], dict[int, list[float]]] = {}
-    empty = True
+    columns: dict[tuple[str, date], int] = {}
+    col_ids, segments, bpms = [], [], []
     for rec in records:
-        empty = False
-        day = cells.setdefault((rec.person_id, rec.timestamp.date()), {})
-        day.setdefault(segment_of(rec.timestamp), []).append(rec.bpm)
-    if empty:
+        ts = rec.timestamp
+        col_ids.append(columns.setdefault((rec.person_id, ts.date()), len(columns)))
+        segments.append(segment_of(ts))
+        bpms.append(rec.bpm)
+    if not columns:
         raise EmptyInput("no heart-rate records")
-    labels = sorted(cells)
-    values = np.zeros((SEGMENTS_PER_DAY, len(labels)))
-    mask = np.zeros((SEGMENTS_PER_DAY, len(labels)), dtype=bool)
-    for j, label in enumerate(labels):
-        for seg, bpms in cells[label].items():
-            values[seg, j] = float(np.median(bpms))
-            mask[seg, j] = True
-    return PersonDayMatrix(MaskedMatrix(values, mask), tuple(labels))
+    labels = sorted(columns)
+    n_cols = len(labels)
+    position = np.empty(n_cols, dtype=np.intp)
+    position[[columns[label] for label in labels]] = np.arange(n_cols)
+    cell = np.asarray(segments, dtype=np.intp) * n_cols + position[col_ids]
+    bpm = np.asarray(bpms, dtype=float)
+    order = np.lexsort((bpm, cell))
+    cell, bpm = cell[order], bpm[order]
+    starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
+    counts = np.diff(np.append(starts, cell.size))
+    median = bpm[starts + counts // 2]
+    even = counts % 2 == 0
+    median[even] = (bpm[starts[even] + counts[even] // 2 - 1] + median[even]) / 2.0
+    values = np.zeros(SEGMENTS_PER_DAY * n_cols)
+    mask = np.zeros(SEGMENTS_PER_DAY * n_cols, dtype=bool)
+    values[cell[starts]] = median
+    mask[cell[starts]] = True
+    shape = (SEGMENTS_PER_DAY, n_cols)
+    return PersonDayMatrix(MaskedMatrix(values.reshape(shape), mask.reshape(shape)), tuple(labels))
 
 
 def read_records_csv(

@@ -193,12 +193,10 @@ def drop_sparse_columns(
 
 
 def write_matrix_csv(x: MaskedMatrix, path) -> None:
+    row_format = ",".join(["%.17g"] * x.n_cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        for i in range(x.n_rows):
-            writer.writerow(
-                [f"{x.values[i, j]:.17g}" if x.mask[i, j] else "nan" for j in range(x.n_cols)]
-            )
+        for row in x.to_dense().tolist():
+            fh.write(row_format % tuple(row))
 
 
 @contextmanager

@@ -1,11 +1,14 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately written as plain scalar loops or
-brute-force searches, sharing no code path with the package, except two
-vectorized bit-exact references: where_loss_and_gradient, the masked loss
-the package's fused kernel must match, and full_matrix_bfgs_update, the
-dense update the package's blocked BFGS update must match.
+brute-force searches, sharing no code path with the package, except the
+bit-exact references for vectorized package code: where_loss_and_gradient
+(the fused loss kernel), full_matrix_bfgs_update (the blocked BFGS
+update), loop_bin_records (the sorted record binning) and
+csv_writer_write_matrix (the row-format matrix CSV writer).
 """
+
+import csv
 
 import numpy as np
 
@@ -177,3 +180,36 @@ def full_matrix_bfgs_update(h, s, y, sy):
     hy = h @ y
     h -= rho * (np.outer(s, hy) + np.outer(hy, s))
     h += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+
+
+def loop_bin_records(records):
+    """Per-cell np.median of heart-rate records grouped in dicts of lists.
+
+    Returns (values, mask, labels) of the 288 x person-days matrix, columns
+    ordered by (person_id, date), cells keyed by wall-clock five-minute
+    segment.
+    """
+    cells = {}
+    for rec in records:
+        ts = rec.timestamp
+        day = cells.setdefault((rec.person_id, ts.date()), {})
+        segment = (ts.hour * 3600 + ts.minute * 60 + ts.second) // 300
+        day.setdefault(segment, []).append(rec.bpm)
+    labels = sorted(cells)
+    values = np.zeros((288, len(labels)))
+    mask = np.zeros((288, len(labels)), dtype=bool)
+    for j, label in enumerate(labels):
+        for seg, bpms in cells[label].items():
+            values[seg, j] = float(np.median(bpms))
+            mask[seg, j] = True
+    return values, mask, tuple(labels)
+
+
+def csv_writer_write_matrix(values, mask, path):
+    """Matrix CSV through csv.writer, one f-string per cell, "nan" where missing."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        for i in range(len(values)):
+            writer.writerow(
+                [f"{values[i][j]:.17g}" if mask[i][j] else "nan" for j in range(len(values[i]))]
+            )

@@ -359,10 +359,14 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({**m, "n": -1})),
             ("--normalization", lambda m: json.dumps(
                 {**m["normalization"], "col_means": m["normalization"]["col_means"][:-1]})),
+            ("--warm-start", lambda m: json.dumps({**m, "k": 2, "u": m["u"] * 2, "v": m["v"] * 2})),
+            ("--warm-start", lambda m: json.dumps({**m, "p": m["p"] - 1, "c": m["c"][:-1],
+                                                   "v": m["v"][:-1]})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
-             "model-n-negative", "sidecar-col-means-short"],
+             "model-n-negative", "sidecar-col-means-short", "warm-start-rank-2",
+             "warm-start-one-column-short"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

@@ -1,4 +1,4 @@
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -16,11 +16,25 @@ from expectile_mf import (
     read_records_csv,
 )
 from expectile_mf.ingest import SEGMENTS_PER_DAY, segment_of
-from oracles import median_sorted
+from oracles import loop_bin_records, median_sorted
 
 
 def rec(person, iso_ts, bpm):
     return HeartRateRecord(person, datetime.fromisoformat(iso_ts), bpm)
+
+
+BPM = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
+# naive, and aware at several UTC offsets; binning reads only the wall-clock time
+ZONES = [None, timezone.utc, timezone(timedelta(hours=-7)),
+         timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=14))]
+# one cell: (person, day, segment, distinct readings to draw from, number of readings)
+CELL = st.tuples(
+    st.sampled_from(["p1", "p2", "p10"]),
+    st.integers(1, 3),
+    st.integers(0, SEGMENTS_PER_DAY - 1),
+    st.lists(BPM, min_size=1, max_size=6),
+    st.integers(1, 300),
+)
 
 
 class TestRecordValidation:
@@ -102,6 +116,22 @@ class TestBinRecords:
         assert base.column_labels == shuffled.column_labels
         assert np.array_equal(base.matrix.values, shuffled.matrix.values)
         assert np.array_equal(base.matrix.mask, shuffled.matrix.mask)
+
+    @given(cells=st.lists(CELL, min_size=1, max_size=6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_cell_median_loop(self, cells, seed):
+        rng = np.random.default_rng(seed)
+        records = []
+        for person, day, segment, pool, count in cells:
+            for offset, bpm in zip(rng.integers(0, 300, size=count), rng.choice(pool, size=count)):
+                wall = datetime(2016, 4, day) + timedelta(seconds=segment * 300 + int(offset))
+                zone = ZONES[int(rng.integers(len(ZONES)))]
+                records.append(HeartRateRecord(person, wall.replace(tzinfo=zone), float(bpm)))
+        records = [records[i] for i in rng.permutation(len(records))]
+        values, mask, labels = loop_bin_records(records)
+        pdm = bin_records(iter(records))
+        assert pdm.column_labels == labels
+        assert np.array_equal(pdm.matrix.mask, mask)
+        assert np.array_equal(pdm.matrix.values, values)
 
     def test_each_record_lands_in_one_cell(self, rng):
         records = [

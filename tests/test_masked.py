@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from expectile_mf import (
     DegenerateMatrix,
@@ -21,7 +22,7 @@ from expectile_mf import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from oracles import loop_masked_stats
+from oracles import csv_writer_write_matrix, loop_masked_stats
 
 FIXTURE_VALUES = [
     [2.5, -1.0, 4.0, 0.5],
@@ -38,6 +39,13 @@ FIXTURE_MASK = [
 # frozen from the scalar-loop oracle over the 11 observed cells
 FIXTURE_MEAN = 2.0454545454545454
 FIXTURE_STD = 2.158014085539858
+
+
+# any finite float, with signed zero, subnormals and the largest magnitudes made likely
+FINITE = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 def random_masked(rng, n=10, p=10, missing=0.3):
@@ -261,6 +269,19 @@ class TestMatrixCsv:
         back = read_matrix_csv(path)
         assert np.array_equal(back.mask, x.mask)
         np.testing.assert_array_equal(back.values[back.mask], x.values[x.mask])
+
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 20), st.integers(1, 20)))
+    def test_round_trip_bit_exact_and_bytes_match_csv_writer(self, tmp_path_factory, data, shape):
+        values = data.draw(arrays(np.float64, shape, elements=FINITE))
+        mask = data.draw(arrays(np.bool_, shape))
+        x = MaskedMatrix(values, mask)
+        folder = tmp_path_factory.mktemp("csv")
+        write_matrix_csv(x, folder / "m.csv")
+        csv_writer_write_matrix(values, mask, folder / "reference.csv")
+        assert (folder / "m.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+        back = read_matrix_csv(folder / "m.csv")
+        assert np.array_equal(back.mask, mask)
+        assert np.array_equal(back.values[mask].view(np.int64), values[mask].view(np.int64))
 
     def test_missing_cell_spellings(self, tmp_path):
         path = tmp_path / "m.csv"
