@@ -123,6 +123,17 @@ def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairSt
     return PairStudyResult(loss_diff=loss_diff, mad=mad)
 
 
+def _race(xn: MaskedMatrix, info: NormalizationInfo, tau, starts, algorithms, opts):
+    """Yield (algorithm, reports): each algorithm in turn fits every shared start."""
+    for algo in algorithms:
+        algo_opts = replace(opts, algorithm=algo)
+        yield algo, [
+            fit(xn, info.row_means, info.col_means,
+                FitConfig(tau=tau, k=start.k, opts=algo_opts, warm_start=start))
+            for start in starts
+        ]
+
+
 @dataclass(frozen=True)
 class AlgoComparison:
     """Per-dataset best losses/times per algorithm, plus win tallies."""
@@ -158,44 +169,29 @@ def compare_algorithms(
     for d_index, d_seed in enumerate(derive_seeds(spec.seed, n_datasets)):
         sim = generate(replace(spec, seed=d_seed))
         xn, info = normalize(sim.x)
-        init_seeds = derive_seeds(d_seed, n_inits)
-        starts = [
-            initial_model(info.row_means, info.col_means, k, s) for s in init_seeds
-        ]
+        starts = [initial_model(info.row_means, info.col_means, k, s)
+                  for s in derive_seeds(d_seed, n_inits)]
         row = {"dataset": d_index}
-        for algo in algorithms:
-            algo_opts = replace(base_opts, algorithm=algo)
-            best_loss = np.inf
-            total_time = 0.0
-            total_iters = 0
-            for start in starts:
-                cfg = FitConfig(tau=tau, k=k, opts=algo_opts, warm_start=start)
-                report = fit(xn, info.row_means, info.col_means, cfg)
-                best_loss = min(best_loss, report.final_loss)
-                total_time += report.elapsed_seconds
-                total_iters += report.iterations
-            row[f"{algo}_loss"] = best_loss
-            row[f"{algo}_seconds"] = total_time
-            row[f"{algo}_iterations"] = total_iters
+        for algo, reports in _race(xn, info, tau, starts, algorithms, base_opts):
+            row[f"{algo}_loss"] = min(rep.final_loss for rep in reports)
+            row[f"{algo}_seconds"] = sum(rep.elapsed_seconds for rep in reports)
+            row[f"{algo}_iterations"] = sum(rep.iterations for rep in reports)
         losses = [row[f"{a}_loss"] for a in algorithms]
         times = [row[f"{a}_seconds"] for a in algorithms]
         row["min_loss_algorithm"] = algorithms[int(np.argmin(losses))]
         row["min_time_algorithm"] = algorithms[int(np.argmin(times))]
         row["loss_spread"] = float(max(losses) - min(losses))
         per_dataset.append(row)
-    summary = []
-    for algo in algorithms:
-        losses = [row[f"{algo}_loss"] for row in per_dataset]
-        times = [row[f"{algo}_seconds"] for row in per_dataset]
-        summary.append(
-            {
-                "algorithm": algo,
-                "n_min_loss": sum(row["min_loss_algorithm"] == algo for row in per_dataset),
-                "n_min_time": sum(row["min_time_algorithm"] == algo for row in per_dataset),
-                "mean_loss": float(np.mean(losses)),
-                "mean_seconds": float(np.mean(times)),
-            }
-        )
+    summary = [
+        {
+            "algorithm": algo,
+            "n_min_loss": sum(row["min_loss_algorithm"] == algo for row in per_dataset),
+            "n_min_time": sum(row["min_time_algorithm"] == algo for row in per_dataset),
+            "mean_loss": float(np.mean([row[f"{algo}_loss"] for row in per_dataset])),
+            "mean_seconds": float(np.mean([row[f"{algo}_seconds"] for row in per_dataset])),
+        }
+        for algo in algorithms
+    ]
     max_spread = float(max(row["loss_spread"] for row in per_dataset))
     return AlgoComparison(per_dataset=per_dataset, summary=summary, max_loss_spread=max_spread)
 
@@ -236,6 +232,7 @@ def rank_sweep(
             raise ValueError(f"{name} must not repeat, got {values}")
     base_opts = opts if opts is not None else OptimizeOptions()
     records = []
+    groups: dict[tuple, list[dict]] = {}  # (tau, rank, algorithm) -> its records
     for t_index, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_trials)):
         data_child, init_child = child.spawn(2)
         data_seed = int(data_child.generate_state(1, np.uint64)[0])
@@ -245,38 +242,16 @@ def rank_sweep(
         for tau in taus:
             for rank in ranks:
                 start = initial_model(info.row_means, info.col_means, rank, init_seed)
-                for algo in algorithms:
-                    algo_opts = replace(base_opts, algorithm=algo)
-                    cfg = FitConfig(tau=tau, k=rank, opts=algo_opts, warm_start=start)
-                    report = fit(xn, info.row_means, info.col_means, cfg)
-                    records.append(
-                        {
-                            "trial": t_index,
-                            "tau": float(tau),
-                            "rank": rank,
-                            "algorithm": algo,
-                            "loss": report.final_loss,
-                            "iterations": report.iterations,
-                            "seconds": report.elapsed_seconds,
-                        }
-                    )
-    aggregate = []
-    for tau in taus:
-        for rank in ranks:
-            for algo in algorithms:
-                sub = [
-                    rec
-                    for rec in records
-                    if rec["tau"] == float(tau) and rec["rank"] == rank and rec["algorithm"] == algo
-                ]
-                aggregate.append(
-                    {
-                        "tau": float(tau),
-                        "rank": rank,
-                        "algorithm": algo,
-                        "mean_loss": float(np.mean([rec["loss"] for rec in sub])),
-                        "mean_iterations": float(np.mean([rec["iterations"] for rec in sub])),
-                        "mean_seconds": float(np.mean([rec["seconds"] for rec in sub])),
-                    }
-                )
+                for algo, (report,) in _race(xn, info, tau, [start], algorithms, base_opts):
+                    rec = {"trial": t_index, "tau": float(tau), "rank": rank, "algorithm": algo,
+                           "loss": report.final_loss, "iterations": report.iterations,
+                           "seconds": report.elapsed_seconds}
+                    records.append(rec)
+                    groups.setdefault((float(tau), rank, algo), []).append(rec)
+    aggregate = [
+        {"tau": tau, "rank": rank, "algorithm": algo,
+         **{f"mean_{name}": float(np.mean([rec[name] for rec in sub]))
+            for name in ("loss", "iterations", "seconds")}}
+        for (tau, rank, algo), sub in groups.items()
+    ]
     return RankSweep(records=records, aggregate=aggregate)

@@ -28,7 +28,7 @@ from .analysis import (
     init_resilience,
     rank_sweep,
 )
-from .errors import ExpectileMFError, ParseError, TooFewGroups
+from .errors import ExpectileMFError, ParseError, RankNotOne, TooFewGroups
 from .expectiles import marginal_expectile_curves
 from .ingest import bin_records, filter_and_normalize, read_records_csv
 from .masked import (
@@ -56,6 +56,11 @@ def _write_csv(path, header, rows) -> None:
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) + "\n")
+
+
+def _write_records(path, records) -> None:
+    """CSV of dicts that share their keys, in the first dict's key order."""
+    _write_csv(path, list(records[0]), [list(rec.values()) for rec in records])
 
 
 def _write_json(path, doc) -> None:
@@ -185,27 +190,26 @@ def _prepare_fit_input(input_path, normalization_path):
     return x, info
 
 
-def _default_pivot(n_rows, rank, orient_pivot):
-    if orient_pivot is not None:
-        return orient_pivot
-    return ORIENT_PIVOT_288 if n_rows == 288 and rank == 1 else None
+def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
+                orient_pivot, warm=None) -> FitConfig:
+    """FitConfig from the shared fit options; a rank-1 fit of 288 rows pivots on row 72."""
+    if orient_pivot is None and n_rows == 288 and rank == 1:
+        orient_pivot = ORIENT_PIVOT_288
+    return FitConfig(
+        tau=tau, k=rank,
+        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
+        n_restarts=restarts, seed=seed, orient_pivot=orient_pivot, warm_start=warm,
+    )
 
 
-def _warn_unconverged(tau, report: FitReport) -> None:
+def _write_fit(model_path, report_path, tau, report: FitReport, info) -> list[Path]:
+    """Write a fit's model and report JSONs (warning on stderr if unconverged); return both."""
+    _write_json(model_path, model_to_dict(report.model, tau, info))
+    _write_json(report_path, {key: val for key, val in vars(report).items() if key != "model"})
     if report.status != STATUS_GRAD_TOL:
         click.echo(f"warning: fit at tau {tau:g} stopped with status {report.status} "
                    f"after {report.iterations} iterations", err=True)
-
-
-def _report_doc(report: FitReport) -> dict:
-    return {
-        "final_loss": report.final_loss,
-        "iterations": report.iterations,
-        "function_evals": report.function_evals,
-        "elapsed_seconds": report.elapsed_seconds,
-        "status": report.status,
-        "restart_losses": report.restart_losses,
-    }
+    return [model_path, report_path]
 
 
 _fit_options = [
@@ -240,20 +244,11 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
             raise ExpectileMFError(
                 f"{warm_start_path}: warm start is ({warm.n}, {warm.p}, {warm.k}), "
                 f"expected ({x.n_rows}, {x.n_cols}, {rank})")
-    config = FitConfig(
-        tau=tau,
-        k=rank,
-        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
-        n_restarts=restarts,
-        seed=seed,
-        orient_pivot=_default_pivot(x.n_rows, rank, orient_pivot),
-        warm_start=warm,
-    )
+    config = _fit_config(x.n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
+                         orient_pivot, warm)
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
-    _write_json(output, model_to_dict(report.model, tau, info))
-    report_path = output.with_name(output.stem + ".report.json")
-    _write_json(report_path, _report_doc(report))
+    outputs = _write_fit(output, output.with_name(output.stem + ".report.json"), tau, report, info)
     _manifest(
         output, "fit",
         {
@@ -261,9 +256,8 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
             "restarts": restarts, "grad_tol": grad_tol, "max_iters": max_iters,
             "orient_pivot": config.orient_pivot, "normalized_by_cli": normalization_path is None,
         },
-        [seed], [input_path], [output, report_path], started,
+        [seed], [input_path], outputs, started,
     )
-    _warn_unconverged(tau, report)
     click.echo(f"final loss {_fmt(report.final_loss)} ({report.status}); wrote {output}")
 
 
@@ -282,26 +276,17 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
                 raise click.UsageError(
                     f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
     x, info = _prepare_fit_input(input_path, normalization_path)
-    config = FitConfig(
-        tau=0.5,
-        k=rank,
-        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
-        n_restarts=restarts,
-        seed=seed,
-        orient_pivot=_default_pivot(x.n_rows, rank, orient_pivot),
-    )
+    config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
+                         orient_pivot)
     reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     summary_rows = []
     for tau, report in zip(tau_values, reports):
-        model_path = out_dir / f"model_tau{tau:g}.json"
-        _write_json(model_path, model_to_dict(report.model, tau, info))
-        _write_json(out_dir / f"report_tau{tau:g}.json", _report_doc(report))
-        outputs += [model_path, out_dir / f"report_tau{tau:g}.json"]
+        outputs += _write_fit(out_dir / f"model_tau{tau:g}.json",
+                              out_dir / f"report_tau{tau:g}.json", tau, report, info)
         summary_rows.append([tau, report.final_loss, report.iterations, report.status])
-        _warn_unconverged(tau, report)
     summary_path = out_dir / "sweep_summary.csv"
     _write_csv(summary_path, ["tau", "final_loss", "iterations", "status"], summary_rows)
     outputs.append(summary_path)
@@ -414,6 +399,8 @@ def band_curves_cmd(model_path, out):
     model, _, info = _load_json(model_path, model_from_dict)
     if info is None:
         raise ExpectileMFError(f"{model_path}: carries no normalization info")
+    if model.k != 1:
+        raise RankNotOne(f"{model_path}: band curves require k = 1, got k = {model.k}")
     lower, center, upper = band_curves(model, info)
     rows = []
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):
@@ -463,11 +450,7 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
         spec, datasets, inits, tau, rank,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
     )
-    header = ["dataset"]
-    for algo in ALGORITHMS:
-        header += [f"{algo}_loss", f"{algo}_seconds", f"{algo}_iterations"]
-    header += ["min_loss_algorithm", "min_time_algorithm", "loss_spread"]
-    _write_csv(Path(out_csv), header, [[row[h] for h in header] for row in result.per_dataset])
+    _write_records(Path(out_csv), result.per_dataset)
     _write_json(Path(out_json), {"summary": result.summary, "max_loss_spread": result.max_loss_spread})
     _manifest(Path(out_csv), "bench compare-algos",
               {"spec": asdict(spec), "datasets": datasets, "inits": inits,
@@ -546,8 +529,7 @@ def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
         n_trials=trials,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
     )
-    header = ["trial", "tau", "rank", "algorithm", "loss", "iterations", "seconds"]
-    _write_csv(Path(out_csv), header, [[rec[h] for h in header] for rec in result.records])
+    _write_records(Path(out_csv), result.records)
     _write_json(Path(out_json), {"aggregate": result.aggregate})
     _manifest(Path(out_csv), "bench rank-sweep",
               {"spec": asdict(spec), "ranks": ranks, "taus": taus,

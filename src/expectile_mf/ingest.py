@@ -87,7 +87,10 @@ def bin_records(records) -> PersonDayMatrix:
     counts = np.diff(np.append(starts, cell.size))
     median = bpm[starts + counts // 2]
     even = counts % 2 == 0
-    median[even] = (bpm[starts[even] + counts[even] // 2 - 1] + median[even]) / 2.0
+    lo, hi = bpm[starts[even] + counts[even] // 2 - 1], median[even]
+    with np.errstate(over="ignore"):  # lo + hi overflows only near the float maximum
+        mid = (lo + hi) / 2.0
+    median[even] = np.where(np.isinf(mid), lo / 2.0 + hi / 2.0, mid)
     values = np.zeros(SEGMENTS_PER_DAY * n_cols)
     mask = np.zeros(SEGMENTS_PER_DAY * n_cols, dtype=bool)
     values[cell[starts]] = median

@@ -113,21 +113,13 @@ class Objective:
             raise EmptyMask("no observed cells")
         self.tau = as_tau(tau).value
         self.n, self.p, self.k = x.n_rows, x.n_cols, k
-        self.size = (self.n + self.p) * (1 + k)
         self._values = np.where(x.mask, x.values, 0.0)
         self._mask = x.mask.astype(float)
         self._resid = np.empty((self.n, self.p))
         self._wr = np.empty((self.n, self.p))
 
     def __call__(self, vec) -> "tuple[float, np.ndarray]":
-        vec = np.asarray(vec, dtype=float).ravel()
-        n, p, k = self.n, self.p, self.k
-        if vec.size != self.size:
-            raise LengthMismatch(f"expected length {self.size} for ({n}, {p}, {k}), got {vec.size}")
-        r = vec[:n]
-        c = vec[n : n + p]
-        u = vec[n + p : n + p + n * k].reshape(n, k)
-        v = vec[n + p + n * k :].reshape(p, k)
+        r, c, u, v = _split(vec, self.n, self.p, self.k)
         t = self.tau
         resid, wr = self._resid, self._wr
         np.add(r[:, None], c[None, :], out=resid)
@@ -169,16 +161,18 @@ def flatten(model: FactorModel) -> np.ndarray:
     return np.concatenate([model.r, model.c, model.u.ravel(), model.v.ravel()])
 
 
-def unflatten(vec, n: int, p: int, k: int) -> FactorModel:
+def _split(vec, n: int, p: int, k: int):
+    """Views (r, c, u, v) of a flat parameter vector laid out as flatten's."""
     vec = np.asarray(vec, dtype=float).ravel()
-    expected = n + p + n * k + p * k
+    expected = (n + p) * (1 + k)
     if vec.size != expected:
         raise LengthMismatch(f"expected length {expected} for ({n}, {p}, {k}), got {vec.size}")
-    r = vec[:n]
-    c = vec[n : n + p]
-    u = vec[n + p : n + p + n * k].reshape(n, k)
-    v = vec[n + p + n * k :].reshape(p, k)
-    return FactorModel(r, c, u, v)
+    uv = vec[n + p :]
+    return vec[:n], vec[n : n + p], uv[: n * k].reshape(n, k), uv[n * k :].reshape(p, k)
+
+
+def unflatten(vec, n: int, p: int, k: int) -> FactorModel:
+    return FactorModel(*_split(vec, n, p, k))
 
 
 def canonicalize(model: FactorModel) -> FactorModel:
@@ -242,7 +236,9 @@ def model_to_dict(
 
 
 def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, NormalizationInfo | None]":
-    n, p, k = int(doc["n"]), int(doc["p"]), int(doc["k"])
+    n, p, k = (doc[name] for name in "npk")
+    if any(type(d) is not int for d in (n, p, k)):  # bool is an int subclass; reject it too
+        raise DimensionMismatch(f"declared n, p and k must be integers, got {n!r}, {p!r}, {k!r}")
     r, c, u, v = (np.asarray(doc[name], dtype=float) for name in "rcuv")
     if (r.size, c.size, u.size, v.size) != (n, p, n * k, p * k):
         raise DimensionMismatch(

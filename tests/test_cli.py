@@ -60,6 +60,8 @@ class TestFit:
         assert code == 0
         assert model_path.exists()
         report = json.loads((tmp_path / "model.report.json").read_text())
+        assert list(report) == ["final_loss", "iterations", "function_evals",
+                                "elapsed_seconds", "status", "restart_losses"]
         assert report["final_loss"] >= 0.0
         assert report["status"] in ("grad_tolerance_met", "max_iters", "line_search_failure")
 
@@ -220,6 +222,10 @@ class TestBench:
                     "--tau", 0.5, "--rank", 1, "--seed", 3,
                     "--out-csv", out_csv, "--out-json", out_json])
         assert code == 0
+        assert out_csv.read_text().splitlines()[0] == (
+            "dataset,bfgs_loss,bfgs_seconds,bfgs_iterations,lbfgs_loss,lbfgs_seconds,"
+            "lbfgs_iterations,cg_loss,cg_seconds,cg_iterations,min_loss_algorithm,"
+            "min_time_algorithm,loss_spread")
         doc = json.loads(out_json.read_text())
         assert len(doc["summary"]) == 3
         assert doc["max_loss_spread"] >= 0.0
@@ -362,11 +368,16 @@ class TestExitCodes:
             ("--warm-start", lambda m: json.dumps({**m, "k": 2, "u": m["u"] * 2, "v": m["v"] * 2})),
             ("--warm-start", lambda m: json.dumps({**m, "p": m["p"] - 1, "c": m["c"][:-1],
                                                    "v": m["v"][:-1]})),
+            ("--model", lambda m: json.dumps({**m, "k": 2, "u": m["u"] * 2, "v": m["v"] * 2})),
+            ("--model", lambda m: json.dumps({**m, "n": m["n"] + 0.9})),
+            ("--model", lambda m: json.dumps({**m, "k": True})),
+            ("--warm-start", lambda m: json.dumps({**m, "p": str(m["p"])})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
              "model-n-negative", "sidecar-col-means-short", "warm-start-rank-2",
-             "warm-start-one-column-short"],
+             "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
+             "model-k-true", "warm-start-p-string"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

@@ -1,3 +1,4 @@
+import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -78,6 +79,15 @@ class TestBinRecords:
         seg = segment_of(datetime(2016, 4, 1, 10, 0, 0))
         assert pdm.matrix.values[seg, 0] == 75.0
         assert median_sorted([70.0, 80.0]) == 75.0
+
+    def test_even_count_midpoint_near_float_max_does_not_overflow(self):
+        records = [rec("p1", "2016-04-01T10:00:05", 1.7e308),
+                   rec("p1", "2016-04-01T10:03:05", 1.7e308)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pdm = bin_records(records)
+        seg = segment_of(datetime(2016, 4, 1, 10, 0, 0))
+        assert pdm.matrix.values[seg, 0] == 1.7e308
 
     @pytest.mark.parametrize("size", range(1, 8))
     def test_median_matches_sort_oracle(self, size, rng):
