@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -543,25 +544,32 @@ def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
         )
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    # One stderr line per warning, like the convergence warnings, with no source path.
+    click.echo(f"warning: {message}", err=True)
+
+
 def main(argv=None) -> int:
     """Entry point with spec'd exit codes (0 ok, 1 usage, 2 data/convergence)."""
-    try:
-        cli.main(args=argv, standalone_mode=False)
-        return 0
-    except click.ClickException as exc:
-        exc.show(file=sys.stderr)
-        return 1
-    except click.exceptions.Abort:
-        return 1
-    except (ExpectileMFError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # The config types (FitConfig, OptimizeOptions, SimulationSpec, Tau)
-        # and fit's pivot range check reject option values with ValueError;
-        # input readers raise ExpectileMFError.
-        print(f"Error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            cli.main(args=argv, standalone_mode=False)
+            return 0
+        except click.ClickException as exc:
+            exc.show(file=sys.stderr)
+            return 1
+        except click.exceptions.Abort:
+            return 1
+        except (ExpectileMFError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except ValueError as exc:
+            # The config types (FitConfig, OptimizeOptions, SimulationSpec, Tau)
+            # and fit's pivot range check reject option values with ValueError;
+            # input readers raise ExpectileMFError.
+            print(f"Error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnnormalizedDataWarning
+from .errors import DegenerateMatrix, DimensionMismatch, UnnormalizedDataWarning
 from .expectiles import Tau, as_tau
 from .masked import MaskedMatrix, global_stats
 from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
@@ -75,7 +75,7 @@ def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
 def _warn_if_unnormalized(x: MaskedMatrix) -> None:
     try:
         mean, std = global_stats(x)
-    except Exception:
+    except DegenerateMatrix:
         return
     if abs(mean) > _NORMALIZED_MEAN_SLACK or abs(std - 1.0) > _NORMALIZED_STD_SLACK:
         warnings.warn(

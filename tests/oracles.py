@@ -3,9 +3,10 @@
 Everything here is deliberately written as plain scalar loops or
 brute-force searches, sharing no code path with the package, except the
 bit-exact references for vectorized package code: where_loss_and_gradient
-(the fused loss kernel), full_matrix_bfgs_update (the blocked BFGS
-update), loop_bin_records (the sorted record binning) and
+(the fused loss kernel), loop_bin_records (the sorted record binning) and
 csv_writer_write_matrix (the row-format matrix CSV writer).
+full_matrix_bfgs_update and DenseBfgsRule are the dense reference that the
+package's two-loop bfgs rule must match to rounding.
 """
 
 import csv
@@ -171,15 +172,45 @@ def median_sorted(xs):
 
 
 def full_matrix_bfgs_update(h, s, y, sy):
-    """Dense inverse-Hessian BFGS update on the whole matrix, in place.
+    """Dense inverse-Hessian BFGS update on the whole d x d matrix, in place.
 
-    The reference for the package's blocked update, which must reproduce
-    these bits exactly.
+    h <- (I - rho s y') h (I - rho y s') + rho s s' with rho = 1 / sy.
     """
     rho = 1.0 / sy
     hy = h @ y
     h -= rho * (np.outer(s, hy) + np.outer(hy, s))
     h += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+
+
+class DenseBfgsRule:
+    """Dense-matrix BFGS direction rule with the package's rule interface.
+
+    h starts at I, is scaled by s'y / y'y of the first pair when that is
+    positive, skips pairs with s'y <= 1e-10 |s| |y|, and resets to I.
+    """
+
+    c2 = 0.9
+
+    def __init__(self, dim):
+        self.h = np.eye(dim)
+        self.first_pair = True
+
+    def direction(self, g):
+        return -(self.h @ g)
+
+    def reset(self):
+        self.h = np.eye(self.h.shape[0])
+
+    def first_step(self, f, g, dphi0):
+        return 1.0
+
+    def update(self, s, y, g, direction):
+        sy = float(s @ y)
+        if self.first_pair and sy > 0.0:
+            self.h *= sy / float(y @ y)
+        self.first_pair = False
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            full_matrix_bfgs_update(self.h, s, y, sy)
 
 
 def loop_bin_records(records):

@@ -177,8 +177,8 @@ def test_criterion_03_rank_misspecification():
 
 def test_criterion_04_algorithm_comparison():
     started = time.perf_counter()
-    # 100x100 desk scale: the full 200x200 would put the 100 dense-bfgs fits
-    # alone past this criterion's wall budget on a desk machine
+    # 100x100 desk scale keeps the race's 300 fits well inside this
+    # criterion's wall budget on a desk machine
     spec = SimulationSpec(m=100, n=100, sigma=0.3, na_portion=0.3, true_rank=2, seed=0)
     result = compare_algorithms(spec, 10, 10, tau=0.2, k=3, opts=OptimizeOptions())
     elapsed = time.perf_counter() - started

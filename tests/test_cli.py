@@ -110,6 +110,19 @@ class TestConvergenceWarning:
             for tau in ("0.1", "0.9")
         ]
 
+    def test_package_warning_is_one_line(self, sim_csv, tmp_path, capsys):
+        # Two fits of a raw (unnormalized) matrix warn once, without a source path.
+        capsys.readouterr()
+        code = run(["bench", "resilience", "--input", sim_csv, "--trials", 2, "--tau", 0.5,
+                    "--rank", 1, "--seed", 4, "--out-loss-csv", tmp_path / "loss.csv",
+                    "--out-mad-csv", tmp_path / "mad.csv"])
+        assert code == 0
+        err = capsys.readouterr().err
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: data does not look normalized (mean ")
+        assert ".py:" not in err
+
 
 class TestTauSweep:
     @pytest.mark.parametrize("taus", ["0.1,0.1000001", "0.5,0.1,0.5"])

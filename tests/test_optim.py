@@ -15,15 +15,13 @@ from expectile_mf import (
 )
 from expectile_mf import optim
 from expectile_mf.optim import (
-    _BFGS_BLOCK,
     ALGORITHMS,
     STATUS_GRAD_TOL,
     STATUS_LINE_SEARCH,
     STATUS_MAX_ITERS,
-    _bfgs_update,
     _two_loop,
 )
-from oracles import full_matrix_bfgs_update
+from oracles import DenseBfgsRule, full_matrix_bfgs_update
 
 
 def quadratic(center):
@@ -142,64 +140,73 @@ class TestDescentAndWolfe:
         assert all(np.array_equal(a, b) for a, b in zip(it1, it2))
 
 
-class TestBfgsUpdate:
-    @pytest.mark.parametrize("dim", [1, _BFGS_BLOCK - 1, _BFGS_BLOCK, _BFGS_BLOCK + 1, 1601])
-    def test_blocked_update_matches_full_matrix_bitwise(self, dim, rng):
-        h_ref = 0.7 * np.eye(dim)
-        h = h_ref.copy()
-        buf = np.empty((2, _BFGS_BLOCK, dim))
-        for _ in range(20):
-            s = rng.normal(size=dim)
-            y = s * rng.uniform(0.5, 2.0, size=dim) + 0.1 * rng.normal(size=dim)
-            sy = float(s @ y)
-            full_matrix_bfgs_update(h_ref, s, y, sy)
-            _bfgs_update(h, s, y, sy, buf)
-        assert np.array_equal(h, h_ref)
-        assert np.array_equal(h, h.T)
+def curvature_pair(rng, dim):
+    s = rng.normal(size=dim)
+    y = s * rng.uniform(0.5, 2.0, size=dim) + 0.1 * rng.normal(size=dim)
+    return s, y
 
+
+class TestBfgsUpdate:
     def test_two_loop_matches_dense_update(self, rng):
         # Over the same pairs, the two-loop recursion from gamma*I applies the
         # inverse Hessian that the dense update builds from gamma*I.
         dim, gamma = 40, 0.7
         h = gamma * np.eye(dim)
-        buf = np.empty((2, _BFGS_BLOCK, dim))
         pairs = []
         for _ in range(8):
-            s = rng.normal(size=dim)
-            y = s * rng.uniform(0.5, 2.0, size=dim) + 0.1 * rng.normal(size=dim)
+            s, y = curvature_pair(rng, dim)
             sy = float(s @ y)
-            _bfgs_update(h, s, y, sy, buf)
+            full_matrix_bfgs_update(h, s, y, sy)
             pairs.append((s, y, 1.0 / sy))
         g = rng.normal(size=dim)
         dense = h @ g
         assert np.abs(_two_loop(g, pairs, gamma) - dense).max() <= 1e-12 * np.abs(dense).max()
 
+    @pytest.mark.parametrize("first_sy_positive", [False, True])
+    def test_rule_matches_dense_oracle(self, first_sy_positive, rng):
+        # 36 pairs into 20 dimensions: the first pair sets (or, with s'y <= 0,
+        # leaves at 1) the scaling, one pair is skipped for lack of curvature,
+        # and a reset drops every pair back to the identity.
+        dim = 20
+        rule, oracle = optim._Bfgs(dim), DenseBfgsRule(dim)
+        s, y = curvature_pair(rng, dim)
+        events = [(s, y if first_sy_positive else -y)]
+        events += [curvature_pair(rng, dim) for _ in range(14)]
+        s, v = curvature_pair(rng, dim)
+        events.append((s, v - float(v @ s) / float(s @ s) * s))
+        events += [curvature_pair(rng, dim) for _ in range(5)]
+        events.append(None)
+        events += [curvature_pair(rng, dim) for _ in range(15)]
+        assert (float(events[0][0] @ events[0][1]) > 0.0) == first_sy_positive
+        kept = []
+        for event in events:
+            if event is None:
+                rule.reset()
+                oracle.reset()
+            else:
+                rule.update(*event, None, None)
+                oracle.update(*event, None, None)
+            kept.append(len(rule.pairs))
+            g = rng.normal(size=dim)
+            ref = -(oracle.h @ g)
+            assert np.abs(rule.direction(g) - ref).max() <= 1e-12 * np.abs(ref).max()
+        # Pair 0 fails the curvature test when s'y <= 0; pair 15 always does.
+        assert kept[15] == kept[14] and kept[20] == 20 - (not first_sy_positive)
+        assert kept[21] == 0 and kept[-1] == 15
+
     def test_minimize_path_matches_full_matrix_loop(self, monkeypatch):
-        # 30x24 at k=2 gives 162 parameters: ten full blocks and a partial one.
+        # 30x24 at k=2 gives 162 parameters; the fit keeps more pairs than that.
         sim = generate(SimulationSpec(m=30, n=24, true_rank=1, sigma=0.1, na_portion=0.2, seed=5))
         xn, info = normalize(sim.x)
         objective = Objective(xn, 0.3, 2)
         x0 = flatten(initial_model(info.row_means, info.col_means, 2, 1))
-        opts = OptimizeOptions(algorithm="bfgs", max_iters=60)
-
-        def run():
-            iterates = []
-            res = minimize(objective, x0, opts, callback=iterates.append)
-            return res, iterates
-
-        blocked, blocked_path = run()
-        calls = []
-
-        def oracle(h, s, y, sy, buf):
-            calls.append(sy)
-            full_matrix_bfgs_update(h, s, y, sy)
-
-        monkeypatch.setattr(optim, "_bfgs_update", oracle)
-        full, full_path = run()
-        assert len(calls) > 20
-        assert len(blocked_path) == len(full_path) == blocked.iterations
-        assert all(np.array_equal(a, b) for a, b in zip(blocked_path, full_path))
-        assert blocked.final_loss == full.final_loss
+        opts = OptimizeOptions(algorithm="bfgs")
+        two_loop = minimize(objective, x0, opts)
+        monkeypatch.setitem(optim._RULES, "bfgs", DenseBfgsRule)
+        dense = minimize(objective, x0, opts)
+        assert two_loop.status == dense.status == STATUS_GRAD_TOL
+        assert two_loop.iterations == dense.iterations > x0.size
+        assert abs(two_loop.final_loss - dense.final_loss) <= 1e-10 * abs(dense.final_loss)
 
 
 class TestReset:
@@ -222,9 +229,7 @@ class TestReset:
             return result
 
         def memory_cleared(rule):
-            if algorithm == "bfgs":
-                return np.array_equal(rule.h, np.eye(2))
-            if algorithm == "lbfgs":
+            if algorithm != "cg":
                 return len(rule.pairs) == 0
             return None
 
