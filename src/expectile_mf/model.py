@@ -95,16 +95,26 @@ class Objective:
     """Loss and gradient of one fit as a function of the flat parameter vector.
 
     Built once per fit: holds the observed values with unobserved cells
-    zeroed, the mask as floats, the observed count and two n x p work
-    buffers that every call reuses. Calls return a fresh gradient array, so
-    callers may keep it; calls on one instance must not overlap, since they
-    share the buffers.
+    zeroed, the mask as floats, the observed count, three n x p work
+    buffers and the small BLAS operands that every call reuses. Calls return
+    a fresh gradient array, so callers may keep it; calls on one instance
+    must not overlap, since they share the buffers.
 
     Residuals >= 0 get weight tau, residuals < 0 get 1 - tau; unobserved
-    cells contribute nothing to either the loss or the gradient. The
-    arithmetic is that of the masked np.where form, bit for bit: masked
-    cells hold exact zeros, and of max(resid, 0) * tau and
-    min(resid, 0) * (1 - tau) one term is always exactly zero.
+    cells contribute nothing to either the loss or the gradient. Every loss
+    and gradient value equals that of the masked np.where form:
+    - r 1' + 1 c' is the product [r, 1] [1, c]'. Its two terms r_i * 1 and
+      1 * c_j are exact, so BLAS returns round(r_i + c_j) in any order.
+    - For k = 1, u v' is [u, 0] [v, 0]'; the padding term is exactly 0, so
+      each cell is round(u_i v_j). numpy's outer product (inner dimension
+      1) does not use BLAS and is several times slower. For k >= 2 the
+      product stays u @ v.T: another operand layout changes the order of
+      the k-term sums and so the last bit of some cells.
+    - w * resid is min(resid t, resid (1 - t)) for t <= 0.5 and the max
+      for t > 0.5: rounding is monotone, so this picks resid t exactly
+      where resid >= 0.
+    Only the sign of an exact-zero fitted value can differ (the BLAS sums
+    start from +0), which changes no value that is compared with ==.
     """
 
     def __init__(self, x: MaskedMatrix, tau: "float | Tau", k: int):
@@ -115,27 +125,31 @@ class Objective:
         self.n, self.p, self.k = x.n_rows, x.n_cols, k
         self._values = np.where(x.mask, x.values, 0.0)
         self._mask = x.mask.astype(float)
-        self._resid = np.empty((self.n, self.p))
-        self._wr = np.empty((self.n, self.p))
+        self._resid, self._wr, self._prod = (np.empty((self.n, self.p)) for _ in range(3))
+        self._r1, self._1c = np.ones((self.n, 2)), np.ones((2, self.p))
+        self._u0, self._v0 = np.zeros((self.n, 2)), np.zeros((2, self.p))
 
     def __call__(self, vec) -> "tuple[float, np.ndarray]":
         r, c, u, v = _split(vec, self.n, self.p, self.k)
         t = self.tau
-        resid, wr = self._resid, self._wr
-        np.add(r[:, None], c[None, :], out=resid)
-        np.matmul(u, v.T, out=wr)
+        resid, wr, prod = self._resid, self._wr, self._prod
+        self._r1[:, 0], self._1c[1] = r, c
+        np.matmul(self._r1, self._1c, out=resid)
+        if self.k == 1:
+            self._u0[:, 0], self._v0[0] = u[:, 0], v[:, 0]
+            np.matmul(self._u0, self._v0, out=wr)
+        else:
+            np.matmul(u, v.T, out=wr)
         resid += wr  # the fitted matrix
         # values - fitted * mask: unobserved cells get 0 - (+-0) = +0, and
         # observed cells see the fitted value unchanged.
         resid *= self._mask
         np.subtract(self._values, resid, out=resid)
-        np.maximum(resid, 0.0, out=wr)
-        wr *= t
-        neg = np.minimum(resid, 0.0)
-        neg *= 1.0 - t
-        wr += neg  # w * resid: zero wherever unobserved, since resid is
-        np.multiply(wr, resid, out=neg)
-        loss = float(np.sum(neg) / self.n_obs)
+        np.multiply(resid, t, out=wr)
+        np.multiply(resid, 1.0 - t, out=prod)
+        (np.minimum if t <= 0.5 else np.maximum)(wr, prod, out=wr)  # w * resid
+        np.multiply(wr, resid, out=prod)
+        loss = float(np.sum(prod) / self.n_obs)
         coef = -2.0 / self.n_obs
         grad = np.concatenate(
             [

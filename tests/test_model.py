@@ -12,18 +12,24 @@ from expectile_mf import (
     LengthMismatch,
     MaskedMatrix,
     Objective,
+    OptimizeOptions,
     RankNotOne,
+    SimulationSpec,
     ZeroColumnWarning,
     canonicalize,
     finite_difference_gradient,
     fitted_matrix,
     flatten,
+    generate,
+    initial_model,
     loss_and_gradient,
+    minimize,
+    normalize,
     orient_rank1,
     unflatten,
 )
 from expectile_mf.masked import NormalizationInfo
-from expectile_mf.model import model_from_dict, model_to_dict
+from expectile_mf.model import _split, model_from_dict, model_to_dict
 from oracles import loop_loss_and_gradient, where_loss_and_gradient
 
 
@@ -163,35 +169,79 @@ def poisoned_instance(rng, n, p, k):
     return model, MaskedMatrix(np.where(x.mask, x.values, np.nan), x.mask)
 
 
+def edge_instance(rng, n, p, k):
+    """Poisoned instance with a zero u column, a fully unobserved row and
+    column, and observed cells equal to 0.0."""
+    model, x = poisoned_instance(rng, n, p, k)
+    u = model.u.copy()
+    u[:, 0] = 0.0
+    mask = x.mask.copy()
+    mask[rng.integers(1, n), :] = False
+    mask[:, rng.integers(1, p)] = False
+    mask[0, 0] = True
+    values = np.where(rng.random((n, p)) < 0.2, 0.0, x.values)
+    values[0, 0] = 0.0
+    model = FactorModel(model.r, model.c, u, model.v)
+    return model, MaskedMatrix(np.where(mask, values, np.nan), mask)
+
+
 class TestObjective:
     def test_bit_identical_to_where_oracle(self, rng):
-        for k in (1, 3):
-            for t in (0.1, 0.5, 0.9):
+        # Both sides of the t <= 0.5 min/max switch and the switch itself;
+        # 150x220 is a size where the k >= 2 operand layout matters.
+        for k in (1, 2, 3):
+            for t in (0.001, 0.1, 0.5, 0.9, 0.999):
                 sizes = [tuple(int(d) for d in rng.integers(2, 40, size=2)) for _ in range(3)]
                 for n, p in sizes + [(150, 220)]:
-                    model, x = poisoned_instance(rng, n, p, k)
-                    loss, grad = Objective(x, t, k)(flatten(model))
-                    o_loss, o_grad = where_loss_and_gradient(
-                        model.r, model.c, model.u, model.v, x.values, x.mask, t
-                    )
-                    assert loss == o_loss
-                    assert np.array_equal(grad, o_grad)
+                    for make in (poisoned_instance, edge_instance):
+                        model, x = make(rng, n, p, k)
+                        loss, grad = Objective(x, t, k)(flatten(model))
+                        o_loss, o_grad = where_loss_and_gradient(
+                            model.r, model.c, model.u, model.v, x.values, x.mask, t
+                        )
+                        assert loss == o_loss
+                        assert np.array_equal(grad, o_grad)
+
+    @pytest.mark.parametrize("algorithm", ["lbfgs", "cg"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_whole_fit_identical_to_where_oracle(self, algorithm, k):
+        # Every iterate of a capped fit, over up to hundreds of evaluations,
+        # must match a fit on the np.where form from the same start.
+        n, p = 150, 220
+        sim = generate(SimulationSpec(m=n, n=p, true_rank=2, sigma=0.3, na_portion=0.3, seed=7))
+        xn, info = normalize(sim.x)
+        x = MaskedMatrix(np.where(xn.mask, xn.values, np.nan), xn.mask)
+        x0 = flatten(initial_model(info.row_means, info.col_means, k, 1))
+        opts = OptimizeOptions(algorithm=algorithm, max_iters=100)
+        for t in (0.1, 0.9):
+            fused = minimize(Objective(x, t, k), x0, opts)
+            oracle = minimize(
+                lambda vec: where_loss_and_gradient(*_split(vec, n, p, k), x.values, x.mask, t),
+                x0,
+                opts,
+            )
+            assert fused.status == oracle.status
+            assert fused.iterations == oracle.iterations
+            assert fused.function_evals == oracle.function_evals
+            assert np.array_equal(fused.x_final, oracle.x_final)
 
     def test_reuse_leaks_no_state(self, rng):
-        model, x = poisoned_instance(rng, 13, 17, 3)
-        vec1 = flatten(model)
-        vec2 = vec1 + rng.normal(size=vec1.size)
-        obj = Objective(x, 0.3, 3)
-        first = obj(vec1)
-        kept = first[1].copy()
-        obj(vec2)
-        again = obj(vec1)
-        fresh = Objective(x, 0.3, 3)(vec1)
-        assert again[0] == fresh[0]
-        assert np.array_equal(again[1], fresh[1])
-        # Each call hands out its own gradient; later calls must not write into it.
-        assert np.array_equal(first[1], kept)
-        assert again[1] is not first[1]
+        # At k = 1 the padded BLAS operands also carry state between calls.
+        for k in (1, 3):
+            model, x = poisoned_instance(rng, 13, 17, k)
+            vec1 = flatten(model)
+            vec2 = vec1 + rng.normal(size=vec1.size)
+            obj = Objective(x, 0.3, k)
+            first = obj(vec1)
+            kept = first[1].copy()
+            obj(vec2)
+            again = obj(vec1)
+            fresh = Objective(x, 0.3, k)(vec1)
+            assert again[0] == fresh[0]
+            assert np.array_equal(again[1], fresh[1])
+            # Each call hands out its own gradient; later calls must not write into it.
+            assert np.array_equal(first[1], kept)
+            assert again[1] is not first[1]
 
     def test_length_mismatch(self, rng):
         _, x = random_instance(rng, n=3, p=4, k=1)
