@@ -15,7 +15,6 @@ from .analysis import (
     icc,
     init_resilience,
     rank_sweep,
-    rmse_from_loss,
 )
 from .errors import (
     DegenerateMatrix,
@@ -36,7 +35,7 @@ from .errors import (
     UnnormalizedDataWarning,
     ZeroColumnWarning,
 )
-from .expectiles import Tau, as_tau, marginal_expectile_curves, scalar_expectile, weight
+from .expectiles import Tau, as_tau, marginal_expectile_curves, scalar_expectile
 from .ingest import (
     HeartRateRecord,
     PersonDayMatrix,
@@ -66,13 +65,8 @@ from .model import (
     orient_rank1,
     unflatten,
 )
-from .optim import (
-    OptimizeOptions,
-    OptimizeResult,
-    finite_difference_gradient,
-    minimize,
-)
+from .optim import OptimizeOptions, OptimizeResult, minimize
 from .pipeline import FitConfig, FitReport, fit, initial_model, tau_sweep
-from .simulate import SimulatedData, SimulationSpec, generate, mean_matrix, residual_noise_std
+from .simulate import SimulatedData, SimulationSpec, generate
 
 __version__ = "0.1.0"

@@ -2,9 +2,9 @@
 
 Holds the variance-ratio ICC, the three seeded simulation studies
 (algorithm comparison, initialization resilience, rank sweep), and the
-original-scale band curves and loss-to-RMSE conversion. Every harness is
-deterministic given its seeds; wall times are measured around the optimizer
-only and are the single non-reproducible output.
+original-scale band curves. Every harness is deterministic given its seeds;
+wall times are measured around the optimizer only and are the single
+non-reproducible output.
 """
 
 from __future__ import annotations
@@ -60,11 +60,6 @@ def icc(data: GroupedSeries) -> float:
     expanded = group_means[inverse]
     between = float(np.mean((expanded - grand) ** 2))
     return between / total
-
-
-def rmse_from_loss(loss: float, std: float) -> float:
-    """Original-scale RMSE implied by a tau = 0.5 loss on normalized data."""
-    return float(np.sqrt(2.0 * loss * std * std))
 
 
 def band_curves(model: FactorModel, info: NormalizationInfo):

@@ -4,7 +4,8 @@ Every seeded subcommand takes --seed (default 20160229) and records it in
 its manifest. Matrix CSVs have no header row. fit and tau-sweep normalize
 their input unless --normalization names an ingest sidecar. Outputs carry
 17 significant digits, and a manifest JSON next to the primary output
-records the resolved configuration. Exit codes: 0 success, 1 usage error,
+records every option as parsed, the values resolved from the input, the
+seed and the input files. Exit codes: 0 success, 1 usage error,
 2 data or convergence error.
 """
 
@@ -70,15 +71,21 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _manifest(primary_output, subcommand, config, seeds, inputs, outputs, started) -> None:
+def _manifest(primary_output, subcommand, outputs, **resolved) -> None:
+    """Write <primary_output>.manifest.json for the running command: every parsed
+    option in declaration order with the resolved values merged over it, and
+    every input file given."""
+    ctx = click.get_current_context()
+    config = {p.name: ctx.params[p.name] for p in ctx.command.params}
     doc = {
         "subcommand": subcommand,
-        "config": config,
-        "seeds": seeds,
+        "config": {**config, **resolved},
+        "seeds": [config["seed"]] if "seed" in config else [],
         "version": __version__,
-        "inputs": [str(p) for p in inputs],
+        "inputs": [config[p.name] for p in ctx.command.params if config[p.name] is not None
+                   and isinstance(p.type, click.Path) and p.type.exists],
         "outputs": [str(p) for p in outputs],
-        "wall_time_seconds": time.perf_counter() - started,
+        "wall_time_seconds": time.perf_counter() - ctx.meta["started"],
     }
     path = Path(primary_output)
     _write_json(path.with_name(path.name + ".manifest.json"), doc)
@@ -128,6 +135,7 @@ _seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, show_defau
 @click.version_option(__version__)
 def cli():
     """Low-rank expectile matrix fitting: simulate, fit, analyze."""
+    click.get_current_context().meta["started"] = time.perf_counter()
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,6 @@ def cli():
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
 def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, out):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
-    started = time.perf_counter()
     spec = SimulationSpec(
         m=rows, n=cols, r_sd=r_sd, c_sd=c_sd, u_sd=u_sd, v_sd=v_sd,
         sigma=sigma, na_portion=na, true_rank=true_rank, seed=seed,
@@ -168,7 +175,7 @@ def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, out
             "true_v": sim.true_v.ravel().tolist(),
         },
     )
-    _manifest(out, "simulate", {"spec": asdict(spec)}, [seed], [], [out, sidecar], started)
+    _manifest(out, "simulate", [out, sidecar])
     click.echo(f"wrote {out} and {sidecar}")
 
 
@@ -236,7 +243,6 @@ _fit_options = [
 def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, orient_pivot,
             normalization_path, tau, warm_start_path, output):
     """Fit one model; writes model JSON plus a report JSON."""
-    started = time.perf_counter()
     x, info = _prepare_fit_input(input_path, normalization_path)
     warm = None
     if warm_start_path is not None:
@@ -250,15 +256,7 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
     outputs = _write_fit(output, output.with_name(output.stem + ".report.json"), tau, report, info)
-    _manifest(
-        output, "fit",
-        {
-            "input": str(input_path), "tau": tau, "rank": rank, "algorithm": algorithm,
-            "restarts": restarts, "grad_tol": grad_tol, "max_iters": max_iters,
-            "orient_pivot": config.orient_pivot, "normalized_by_cli": normalization_path is None,
-        },
-        [seed], [input_path], outputs, started,
-    )
+    _manifest(output, "fit", outputs, orient_pivot=config.orient_pivot)
     click.echo(f"final loss {_fmt(report.final_loss)} ({report.status}); wrote {output}")
 
 
@@ -269,7 +267,6 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
 def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters,
                   orient_pivot, normalization_path, taus, output_dir):
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
-    started = time.perf_counter()
     tau_values = _parse_list(taus, float)
     for i, tau in enumerate(tau_values):
         for other in tau_values[:i]:
@@ -291,12 +288,7 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
     summary_path = out_dir / "sweep_summary.csv"
     _write_csv(summary_path, ["tau", "final_loss", "iterations", "status"], summary_rows)
     outputs.append(summary_path)
-    _manifest(
-        summary_path, "tau-sweep",
-        {"input": str(input_path), "taus": tau_values, "rank": rank, "algorithm": algorithm,
-         "restarts": restarts, "grad_tol": grad_tol, "max_iters": max_iters},
-        [seed], [input_path], outputs, started,
-    )
+    _manifest(summary_path, "tau-sweep", outputs, orient_pivot=config.orient_pivot)
     click.echo(f"wrote {len(reports)} fits under {out_dir}")
 
 
@@ -311,7 +303,6 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
 @click.option("--out", type=click.Path(), required=True)
 def expectiles(input_path, taus, out):
     """Marginal expectile curves per matrix row (long CSV: row_index, tau, expectile)."""
-    started = time.perf_counter()
     tau_values = _parse_list(taus, float)
     x = read_matrix_csv(input_path)
     curves = marginal_expectile_curves(x, tau_values)
@@ -321,8 +312,7 @@ def expectiles(input_path, taus, out):
         for j in range(len(tau_values))
     ]
     _write_csv(Path(out), ["row_index", "tau", "expectile"], rows)
-    _manifest(Path(out), "expectiles", {"input": str(input_path), "taus": tau_values},
-              [], [input_path], [out], started)
+    _manifest(out, "expectiles", [out])
     click.echo(f"wrote {out}")
 
 
@@ -332,7 +322,6 @@ def expectiles(input_path, taus, out):
 @click.option("--out", type=click.Path(), required=True, help="JSON output path.")
 def icc_cmd(input_path, out):
     """Between-group share of variance for grouped values."""
-    started = time.perf_counter()
     groups, values = [], []
     with open_input(input_path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -355,7 +344,7 @@ def icc_cmd(input_path, out):
         raise TooFewGroups(f"{input_path}: need at least 2 distinct groups, got {n_groups}")
     value = icc(GroupedSeries(np.asarray(values), np.asarray(groups)))
     _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": n_groups})
-    _manifest(Path(out), "icc", {"input": str(input_path)}, [], [input_path], [out], started)
+    _manifest(out, "icc", [out])
     click.echo(f"icc {_fmt(value)}")
 
 
@@ -369,7 +358,6 @@ def icc_cmd(input_path, out):
 @click.option("--bpm-col", default="bpm", show_default=True)
 def ingest(input_path, output, labels_path, max_missing, person_col, time_col, bpm_col):
     """Bin heart-rate records into the 288 x person-days matrix, filter, normalize."""
-    started = time.perf_counter()
     records = read_records_csv(input_path, person_col=person_col, time_col=time_col, bpm_col=bpm_col)
     pdm = bin_records(records)
     xn, info, kept_labels = filter_and_normalize(pdm, max_missing)
@@ -382,12 +370,8 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
     )
     norm_path = output.with_name(output.stem + ".normalization.json")
     _write_json(norm_path, info.to_dict())
-    _manifest(
-        output, "ingest",
-        {"input": str(input_path), "max_missing": max_missing,
-         "columns_before": pdm.matrix.n_cols, "columns_after": xn.n_cols},
-        [], [input_path], [output, labels_path, norm_path], started,
-    )
+    _manifest(output, "ingest", [output, labels_path, norm_path],
+              columns_before=pdm.matrix.n_cols, columns_after=xn.n_cols)
     click.echo(f"binned {pdm.matrix.n_cols} person-days, kept {xn.n_cols}; wrote {output}")
 
 
@@ -396,7 +380,6 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
 @click.option("--out", type=click.Path(), required=True)
 def band_curves_cmd(model_path, out):
     """Lower/center/upper day curves from a rank-1 model (long CSV: x, series, value)."""
-    started = time.perf_counter()
     model, _, info = _load_json(model_path, model_from_dict)
     if info is None:
         raise ExpectileMFError(f"{model_path}: carries no normalization info")
@@ -407,7 +390,7 @@ def band_curves_cmd(model_path, out):
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):
         rows += [[i, name, curve[i]] for i in range(curve.size)]
     _write_csv(Path(out), ["x", "series", "value"], rows)
-    _manifest(Path(out), "band-curves", {"model": str(model_path)}, [], [model_path], [out], started)
+    _manifest(out, "band-curves", [out])
     click.echo(f"wrote {out}")
 
 
@@ -444,7 +427,6 @@ _sim_spec_options = [
 def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
                       inits, tau, rank, grad_tol, max_iters, out_csv, out_json):
     """Race bfgs/lbfgs/cg over datasets with shared initializations."""
-    started = time.perf_counter()
     spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
                           true_rank=true_rank, seed=seed)
     result = compare_algorithms(
@@ -453,10 +435,7 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
     )
     _write_records(Path(out_csv), result.per_dataset)
     _write_json(Path(out_json), {"summary": result.summary, "max_loss_spread": result.max_loss_spread})
-    _manifest(Path(out_csv), "bench compare-algos",
-              {"spec": asdict(spec), "datasets": datasets, "inits": inits,
-               "tau": tau, "rank": rank, "grad_tol": grad_tol, "max_iters": max_iters},
-              [seed], [], [out_csv, out_json], started)
+    _manifest(out_csv, "bench compare-algos", [out_csv, out_json])
     for row in result.summary:
         click.echo(
             f"{row['algorithm']}: min-loss wins {row['n_min_loss']}, "
@@ -479,7 +458,6 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
 def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
                    max_iters, seed, out_loss_csv, out_mad_csv):
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
-    started = time.perf_counter()
     x = read_matrix_csv(input_path)
     config = FitConfig(
         tau=tau, k=rank,
@@ -494,10 +472,7 @@ def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
     header_row = ["trial"] + [f"t{j}" for j in range(trials)]
     _write_csv(Path(out_loss_csv), header_row, matrix_rows(result.loss_diff))
     _write_csv(Path(out_mad_csv), header_row, matrix_rows(result.mad))
-    _manifest(Path(out_loss_csv), "bench resilience",
-              {"input": str(input_path), "trials": trials, "tau": tau, "rank": rank,
-               "algorithm": algorithm, "grad_tol": grad_tol, "max_iters": max_iters},
-              [seed], [input_path], [out_loss_csv, out_mad_csv], started)
+    _manifest(out_loss_csv, "bench resilience", [out_loss_csv, out_mad_csv])
     iu = np.triu_indices(trials, 1)
     click.echo(
         f"max pairwise loss gap {_fmt(result.loss_diff[iu].max())}, "
@@ -519,7 +494,6 @@ def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
 def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
                    algorithms, trials, grad_tol, max_iters, out_csv, out_json):
     """Mean loss/iterations/time per (tau, rank, algorithm) over seeded trials."""
-    started = time.perf_counter()
     spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
                           true_rank=true_rank, seed=seed)
     result = rank_sweep(
@@ -532,11 +506,7 @@ def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
     )
     _write_records(Path(out_csv), result.records)
     _write_json(Path(out_json), {"aggregate": result.aggregate})
-    _manifest(Path(out_csv), "bench rank-sweep",
-              {"spec": asdict(spec), "ranks": ranks, "taus": taus,
-               "algorithms": algorithms, "trials": trials,
-               "grad_tol": grad_tol, "max_iters": max_iters},
-              [seed], [], [out_csv, out_json], started)
+    _manifest(out_csv, "bench rank-sweep", [out_csv, out_json])
     for row in result.aggregate:
         click.echo(
             f"tau {row['tau']:g} k {row['rank']} {row['algorithm']}: "

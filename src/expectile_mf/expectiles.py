@@ -1,4 +1,4 @@
-"""Scalar and marginal expectiles plus the asymmetric weight function.
+"""Scalar and marginal expectiles.
 
 An expectile at level tau minimizes the asymmetrically weighted squared
 deviation: positive residuals weighted tau, negative weighted 1 - tau.
@@ -30,12 +30,6 @@ class Tau:
 
 def as_tau(tau: "float | Tau") -> Tau:
     return tau if isinstance(tau, Tau) else Tau(float(tau))
-
-
-def weight(residual: float, tau: "float | Tau") -> float:
-    """tau for residual >= 0 (ties included), else 1 - tau."""
-    t = as_tau(tau).value
-    return t if residual >= 0.0 else 1.0 - t
 
 
 def scalar_expectile(

@@ -126,18 +126,18 @@ class NormalizationInfo:
         )
 
 
-def global_stats(x: MaskedMatrix, ddof: int = 0) -> tuple[float, float]:
+def global_stats(x: MaskedMatrix) -> tuple[float, float]:
     """Mean and std over observed entries only.
 
-    Default divisor is N (population form), matching the convention used by
-    the simulation generator; pass ddof=1 for the sample form.
+    The divisor is N (population form), matching the convention used by the
+    simulation generator.
     """
     obs = x.observed_values()
     if obs.size < 2:
         raise DegenerateMatrix(f"need >= 2 observed entries, have {obs.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(obs))
-        std = float(np.std(obs, ddof=ddof))
+        std = float(np.std(obs))
     if not (np.isfinite(mean) and np.isfinite(std)):
         raise DegenerateMatrix(f"observed entries overflow: mean {mean}, std {std}")
     if std <= 0.0:

@@ -29,8 +29,11 @@ STATUS_GRAD_TOL = "grad_tolerance_met"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH = "line_search_failure"
 
-# Sufficient-decrease constant of the strong-Wolfe search.
+# Sufficient-decrease constant of the strong-Wolfe search, and its caps on
+# step doublings and on sectioning trials.
 _C1 = 1e-4
+_MAX_EXPAND = 20
+_MAX_SECTION = 30
 
 # Curvature pairs kept by L-BFGS.
 _LBFGS_MEMORY = 10
@@ -140,23 +143,6 @@ def minimize(objective, x0, opts: "OptimizeOptions | None" = None, callback=None
     )
 
 
-def finite_difference_gradient(objective, x, step: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of the loss component of the callback."""
-    if step <= 0.0:
-        raise ValueError("step must be positive")
-    x = np.asarray(x, dtype=float).ravel()
-    grad = np.empty_like(x)
-    for i in range(x.size):
-        bump = np.zeros_like(x)
-        bump[i] = step
-        f_plus = float(objective(x + bump)[0])
-        f_minus = float(objective(x - bump)[0])
-        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise NonFiniteObjective("objective returned NaN or Inf")
-        grad[i] = (f_plus - f_minus) / (2.0 * step)
-    return grad
-
-
 # ---------------------------------------------------------------------------
 # Strong Wolfe line search: bracketing plus cubic-interpolated sectioning.
 # ---------------------------------------------------------------------------
@@ -179,7 +165,7 @@ def _cubic_step(a, fa, da, b, fb, db):
     return t if math.isfinite(t) else None
 
 
-def _wolfe_search(fg, x, direction, f0, g0, dphi0, c2, alpha0, max_expand=20, max_section=30):
+def _wolfe_search(fg, x, direction, f0, g0, dphi0, c2, alpha0):
     """Search along direction, whose slope at x is dphi0 < 0, for a strong-Wolfe step.
 
     Returns (alpha, f, g, satisfied). When no certified step is found the
@@ -198,7 +184,7 @@ def _wolfe_search(fg, x, direction, f0, g0, dphi0, c2, alpha0, max_expand=20, ma
     def section(lo, f_lo, d_lo, hi, f_hi, d_hi):
         # Invariant: lo satisfies Armijo, and the interval brackets a Wolfe
         # point (d_lo * (hi - lo) < 0).
-        for _ in range(max_section):
+        for _ in range(_MAX_SECTION):
             width = hi - lo
             trial = _cubic_step(lo, f_lo, d_lo, hi, f_hi, d_hi)
             guard = 0.1 * abs(width)
@@ -222,7 +208,7 @@ def _wolfe_search(fg, x, direction, f0, g0, dphi0, c2, alpha0, max_expand=20, ma
 
     a_prev, f_prev, d_prev = 0.0, f0, dphi0
     alpha = alpha0
-    for i in range(max_expand):
+    for i in range(_MAX_EXPAND):
         f_a, g_a, d_a = evaluate(alpha)
         if f_a > f0 + _C1 * alpha * dphi0 or (i > 0 and f_a >= f_prev):
             return section(a_prev, f_prev, d_prev, alpha, f_a, d_a)

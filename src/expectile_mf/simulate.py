@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masked import MaskedMatrix, NormalizationInfo
+from .masked import MaskedMatrix
 
 STREAM_NAMES = (
     "row_effects",
@@ -79,11 +79,6 @@ def component_streams(seed) -> dict:
     }
 
 
-def mean_matrix(sim: SimulatedData) -> np.ndarray:
-    """Noise-free planted matrix at every cell."""
-    return sim.true_r[:, None] + sim.true_c[None, :] + sim.true_u @ sim.true_v.T
-
-
 def generate(spec: SimulationSpec) -> SimulatedData:
     """Draw a dataset; identical specs give bit-identical output."""
     streams = component_streams(spec.seed)
@@ -102,14 +97,3 @@ def generate(spec: SimulationSpec) -> SimulatedData:
         true_u=true_u,
         true_v=true_v,
     )
-
-
-def residual_noise_std(sim: SimulatedData, info: NormalizationInfo) -> float:
-    """Empirical std of the planted noise at observed cells, on the normalized scale.
-
-    This is the noise level a perfect fit of the normalized matrix would
-    leave behind; half its square is the corresponding tau = 0.5 loss.
-    """
-    mask = sim.x.mask
-    resid = (sim.x.values - mean_matrix(sim))[mask]
-    return float(np.std(resid) / info.std)

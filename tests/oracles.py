@@ -6,15 +6,20 @@ bit-exact references for vectorized package code: where_loss_and_gradient
 (the fused loss kernel), loop_bin_records (the sorted record binning) and
 csv_writer_write_matrix (the row-format matrix CSV writer).
 full_matrix_bfgs_update and DenseBfgsRule are the dense reference that the
-package's two-loop bfgs rule must match to rounding.
+package's two-loop bfgs rule must match to rounding. The last four helpers
+are the gates' measuring tools: a central-difference gradient, the planted
+mean and noise level of a simulated matrix, and the loss-to-RMSE conversion.
 """
 
 import csv
+import math
 
 import numpy as np
 
+from expectile_mf.errors import NonFiniteObjective
 
-def loop_masked_stats(values, mask, ddof=0):
+
+def loop_masked_stats(values, mask):
     """Mean and std over observed cells by explicit accumulation."""
     total, count = 0.0, 0
     for i in range(len(values)):
@@ -28,7 +33,7 @@ def loop_masked_stats(values, mask, ddof=0):
         for j in range(len(values[0])):
             if mask[i][j]:
                 ss += (values[i][j] - mean) ** 2
-    return mean, (ss / (count - ddof)) ** 0.5
+    return mean, (ss / count) ** 0.5
 
 
 def asymmetric_objective(sample, tau, mu):
@@ -244,3 +249,40 @@ def csv_writer_write_matrix(values, mask, path):
             writer.writerow(
                 [f"{values[i][j]:.17g}" if mask[i][j] else "nan" for j in range(len(values[i]))]
             )
+
+
+def finite_difference_gradient(objective, x, step=1e-6):
+    """Central-difference gradient of the loss component of the callback."""
+    if step <= 0.0:
+        raise ValueError("step must be positive")
+    x = np.asarray(x, dtype=float).ravel()
+    grad = np.empty_like(x)
+    for i in range(x.size):
+        bump = np.zeros_like(x)
+        bump[i] = step
+        f_plus = float(objective(x + bump)[0])
+        f_minus = float(objective(x - bump)[0])
+        if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
+            raise NonFiniteObjective("objective returned NaN or Inf")
+        grad[i] = (f_plus - f_minus) / (2.0 * step)
+    return grad
+
+
+def mean_matrix(sim):
+    """Noise-free planted matrix at every cell."""
+    return sim.true_r[:, None] + sim.true_c[None, :] + sim.true_u @ sim.true_v.T
+
+
+def residual_noise_std(sim, info):
+    """Empirical std of the planted noise at observed cells, on the normalized scale.
+
+    This is the noise level a perfect fit of the normalized matrix would
+    leave behind; half its square is the corresponding tau = 0.5 loss.
+    """
+    resid = (sim.x.values - mean_matrix(sim))[sim.x.mask]
+    return float(np.std(resid) / info.std)
+
+
+def rmse_from_loss(loss, std):
+    """Original-scale RMSE implied by a tau = 0.5 loss on normalized data."""
+    return float(np.sqrt(2.0 * loss * std * std))

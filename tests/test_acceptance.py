@@ -24,7 +24,6 @@ from expectile_mf import (
     canonicalize,
     compare_algorithms,
     filter_and_normalize,
-    finite_difference_gradient,
     fit,
     fitted_matrix,
     flatten,
@@ -34,13 +33,17 @@ from expectile_mf import (
     loss_and_gradient,
     normalize,
     rank_sweep,
-    residual_noise_std,
     tau_sweep,
     unflatten,
 )
 from expectile_mf.cli import main as cli_main
 from expectile_mf.ingest import SEGMENTS_PER_DAY, HeartRateRecord
-from oracles import expectile_grid_bisect, icc_two_pass
+from oracles import (
+    expectile_grid_bisect,
+    finite_difference_gradient,
+    icc_two_pass,
+    residual_noise_std,
+)
 from expectile_mf.expectiles import scalar_expectile
 
 BENCH_SPEC = SimulationSpec(m=200, n=200, sigma=0.3, na_portion=0.3, true_rank=2, seed=0)

@@ -18,10 +18,9 @@ from expectile_mf import (
     init_resilience,
     normalize,
     rank_sweep,
-    rmse_from_loss,
 )
 from expectile_mf import analysis
-from oracles import icc_two_pass
+from oracles import icc_two_pass, rmse_from_loss
 
 
 def grouped(values, groups):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from expectile_mf import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from expectile_mf.cli import main
+from expectile_mf.cli import cli, main
 from expectile_mf.model import model_from_dict
 
 
@@ -18,6 +19,24 @@ NAN = float("nan")
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def write_records(path):
+    """Heart-rate records CSV: one person, two days, every other five-minute segment."""
+    rows = ["person_id,timestamp,bpm"]
+    rng = np.random.default_rng(0)
+    for day in (1, 2):
+        for seg in range(0, 288, 2):
+            h, m = divmod(seg * 5, 60)
+            rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m:02d}:30,{60 + rng.integers(0, 40)}")
+    Path(path).write_text("\n".join(rows) + "\n")
+
+
+def read_manifest(primary_output):
+    """The manifest next to primary_output, without its wall-clock field."""
+    doc = json.loads(Path(f"{primary_output}.manifest.json").read_text())
+    del doc["wall_time_seconds"]
+    return doc
 
 
 @pytest.fixture
@@ -193,13 +212,7 @@ class TestIccCommand:
 class TestIngestCommand:
     def test_end_to_end(self, tmp_path):
         records = tmp_path / "hr.csv"
-        rows = ["person_id,timestamp,bpm"]
-        rng = np.random.default_rng(0)
-        for day in (1, 2):
-            for seg in range(0, 288, 2):
-                h, m = divmod(seg * 5, 60)
-                rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m:02d}:30,{60 + rng.integers(0, 40)}")
-        records.write_text("\n".join(rows) + "\n")
+        write_records(records)
         out = tmp_path / "matrix.csv"
         labels = tmp_path / "labels.csv"
         code = run(["ingest", "--input", records, "--output", out,
@@ -269,6 +282,76 @@ class TestBench:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "trial,tau,rank,algorithm,loss,iterations,seconds"
         assert len(lines) == 1 + 2 * 2
+
+
+class TestManifest:
+    # Each manifest's config holds every option the command declares, in
+    # declaration order, and its inputs name every input file given.
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_every_command_records_its_options_and_inputs(self, workdir):
+        write_records("records.csv")
+        Path("grouped.csv").write_text("a,1\na,2\nb,3\nb,5\n")
+        bench_spec = ["--rows", 12, "--cols", 10, "--true-rank", 1, "--max-iters", 20]
+        commands = [  # (subcommand, argv after it, primary output, input files)
+            ("simulate", ["--rows", 30, "--cols", 24, "--true-rank", 1, "--seed", 5,
+                          "--out", "X.csv"], "X.csv", []),
+            ("ingest", ["--input", "records.csv", "--output", "hr.csv", "--labels", "labels.csv"],
+             "hr.csv", ["records.csv"]),
+            ("fit", ["--input", "hr.csv", "--normalization", "hr.normalization.json",
+                     "--max-iters", 20, "--output", "m.json"],
+             "m.json", ["hr.csv", "hr.normalization.json"]),
+            ("fit", ["--input", "hr.csv", "--normalization", "hr.normalization.json",
+                     "--tau", 0.9, "--warm-start", "m.json", "--max-iters", 20,
+                     "--output", "warm.json"],
+             "warm.json", ["hr.csv", "hr.normalization.json", "m.json"]),
+            ("tau-sweep", ["--input", "X.csv", "--taus", "0.5", "--orient-pivot", 3,
+                           "--max-iters", 5, "--output-dir", "sweep"],
+             "sweep/sweep_summary.csv", ["X.csv"]),
+            ("expectiles", ["--input", "X.csv", "--taus", "0.5", "--out", "curves.csv"],
+             "curves.csv", ["X.csv"]),
+            ("icc", ["--input", "grouped.csv", "--out", "icc.json"], "icc.json", ["grouped.csv"]),
+            ("band-curves", ["--model", "m.json", "--out", "bands.csv"], "bands.csv", ["m.json"]),
+            ("bench compare-algos", [*bench_spec, "--datasets", 1, "--inits", 1, "--rank", 1,
+                                     "--out-csv", "cmp.csv", "--out-json", "cmp.json"],
+             "cmp.csv", []),
+            ("bench resilience", ["--input", "X.csv", "--trials", 2, "--rank", 1,
+                                  "--max-iters", 20, "--out-loss-csv", "gaps.csv",
+                                  "--out-mad-csv", "mads.csv"], "gaps.csv", ["X.csv"]),
+            ("bench rank-sweep", [*bench_spec, "--ranks", 1, "--algorithms", "lbfgs",
+                                  "--trials", 1, "--out-csv", "ranks.csv",
+                                  "--out-json", "ranks.json"], "ranks.csv", []),
+        ]
+        for subcommand, argv, primary, inputs in commands:
+            assert run([*subcommand.split(), *argv]) == 0, subcommand
+            command = cli
+            for name in subcommand.split():
+                command = command.commands[name]
+            declared = [param.name for param in command.params]
+            doc = read_manifest(primary)
+            assert doc["subcommand"] == subcommand
+            assert list(doc["config"])[:len(declared)] == declared, subcommand
+            assert doc["seeds"] == ([doc["config"]["seed"]] if "seed" in declared else [])
+            assert doc["inputs"] == inputs, subcommand
+        ingest_config = read_manifest("hr.csv")["config"]
+        assert (ingest_config["columns_before"], ingest_config["columns_after"]) == (2, 2)
+        warm_config = read_manifest("warm.json")["config"]
+        assert warm_config["normalization_path"] == "hr.normalization.json"
+        assert warm_config["warm_start_path"] == "m.json"
+        assert read_manifest("sweep/sweep_summary.csv")["config"]["orient_pivot"] == 3
+
+    def test_argv_order_does_not_change_manifest(self, sim_csv, workdir):
+        options = [["--input", sim_csv], ["--tau", 0.3], ["--rank", 1], ["--seed", 2],
+                   ["--max-iters", 20], ["--output", "m.json"]]
+        docs = []
+        for order in (options, options[::-1]):
+            assert run(["fit", *[token for option in order for token in option]]) == 0
+            docs.append(read_manifest("m.json"))
+        assert docs[0] == docs[1]
+        assert list(docs[0]["config"]) == [param.name for param in cli.commands["fit"].params]
 
 
 class TestExitCodes:
@@ -416,8 +499,11 @@ class TestExitCodes:
             model_path = tmp_path / f"model{rank}.json"
             assert run(["fit", "--input", x_csv, "--rank", rank, "--max-iters", 5,
                         "--output", model_path]) == 0
-            manifest = json.loads((tmp_path / f"model{rank}.json.manifest.json").read_text())
-            assert manifest["config"]["orient_pivot"] == pivot
+            assert read_manifest(model_path)["config"]["orient_pivot"] == pivot
+            sweep_dir = tmp_path / f"sweep{rank}"
+            assert run(["tau-sweep", "--input", x_csv, "--rank", rank, "--taus", "0.5",
+                        "--max-iters", 5, "--output-dir", sweep_dir]) == 0
+            assert read_manifest(sweep_dir / "sweep_summary.csv")["config"]["orient_pivot"] == pivot
 
     @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest"])
     def test_non_utf8_input_is_two_naming_file(self, tmp_path, capsys, command):

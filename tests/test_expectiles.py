@@ -10,7 +10,6 @@ from expectile_mf import (
     Tau,
     marginal_expectile_curves,
     scalar_expectile,
-    weight,
 )
 from oracles import expectile_grid_bisect
 
@@ -27,17 +26,6 @@ class TestTau:
 
     def test_value_kept(self):
         assert Tau(0.25).value == 0.25
-
-
-class TestWeight:
-    def test_zero_residual_takes_tau_branch(self):
-        assert weight(0.0, Tau(0.3)) == 0.3
-
-    def test_negative_residual(self):
-        assert weight(-1.0, 0.3) == 0.7
-
-    def test_symmetric_tau(self):
-        assert weight(5.0, 0.5) == 0.5
 
 
 class TestScalarExpectile:

@@ -155,11 +155,6 @@ class TestGlobalStats:
         with pytest.raises(DegenerateMatrix):
             global_stats(x)
 
-    def test_ddof_switch(self):
-        x = MaskedMatrix([[1.0, 0.0], [3.0, 0.0]], [[True, False], [True, False]])
-        _, std1 = global_stats(x, ddof=1)
-        assert abs(std1 - np.sqrt(2.0)) < 1e-15
-
 
 class TestNormalize:
     def test_fully_observed_example(self):

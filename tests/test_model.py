@@ -17,7 +17,6 @@ from expectile_mf import (
     SimulationSpec,
     ZeroColumnWarning,
     canonicalize,
-    finite_difference_gradient,
     fitted_matrix,
     flatten,
     generate,
@@ -30,7 +29,7 @@ from expectile_mf import (
 )
 from expectile_mf.masked import NormalizationInfo
 from expectile_mf.model import _split, model_from_dict, model_to_dict
-from oracles import loop_loss_and_gradient, where_loss_and_gradient
+from oracles import finite_difference_gradient, loop_loss_and_gradient, where_loss_and_gradient
 
 
 def random_model(rng, n, p, k):

@@ -6,7 +6,6 @@ from expectile_mf import (
     Objective,
     OptimizeOptions,
     SimulationSpec,
-    finite_difference_gradient,
     flatten,
     generate,
     initial_model,
@@ -21,7 +20,7 @@ from expectile_mf.optim import (
     STATUS_MAX_ITERS,
     _two_loop,
 )
-from oracles import DenseBfgsRule, full_matrix_bfgs_update
+from oracles import DenseBfgsRule, finite_difference_gradient, full_matrix_bfgs_update
 
 
 def quadratic(center):

@@ -1,14 +1,9 @@
 import numpy as np
 import pytest
 
-from expectile_mf import (
-    SimulationSpec,
-    generate,
-    mean_matrix,
-    normalize,
-    residual_noise_std,
-)
+from expectile_mf import SimulationSpec, generate, normalize
 from expectile_mf.simulate import component_streams
+from oracles import mean_matrix, residual_noise_std
 
 
 class TestSpecValidation:
