@@ -17,25 +17,12 @@ from .analysis import (
     rank_sweep,
 )
 from .errors import (
-    DegenerateMatrix,
-    DegenerateVariance,
-    DimensionMismatch,
-    EmptyInput,
-    EmptyMask,
-    EmptyResult,
-    EmptyRow,
-    EmptySample,
     ExpectileMFError,
-    LengthMismatch,
-    NonConvergence,
-    NonFiniteObjective,
-    NonFiniteValue,
     ParseError,
-    RankNotOne,
     UnnormalizedDataWarning,
     ZeroColumnWarning,
 )
-from .expectiles import Tau, as_tau, marginal_expectile_curves, scalar_expectile
+from .expectiles import check_tau, marginal_expectile_curves, scalar_expectile
 from .ingest import (
     HeartRateRecord,
     PersonDayMatrix,

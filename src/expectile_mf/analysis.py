@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateVariance, RankNotOne
+from .errors import ExpectileMFError
 from .masked import MaskedMatrix, NormalizationInfo, masked_col_means, masked_row_means, normalize
 from .model import FactorModel, fitted_matrix
 from .optim import ALGORITHMS, OptimizeOptions
@@ -52,7 +52,7 @@ def icc(data: GroupedSeries) -> float:
     grand = float(values.mean())
     total = float(np.mean((values - grand) ** 2))
     if total <= 0.0:
-        raise DegenerateVariance("values have zero variance")
+        raise ExpectileMFError("values have zero variance")
     _, inverse = np.unique(data.group_ids, return_inverse=True)
     sums = np.bincount(inverse, weights=values)
     counts = np.bincount(inverse)
@@ -70,7 +70,7 @@ def band_curves(model: FactorModel, info: NormalizationInfo):
     twice that product.
     """
     if model.k != 1:
-        raise RankNotOne(f"band curves require k = 1, got k = {model.k}")
+        raise ExpectileMFError(f"band curves require k = 1, got k = {model.k}")
     center = model.r * info.std
     u_dn = model.u[:, 0] * info.std
     v_std = float(np.std(model.v[:, 0]))

@@ -30,8 +30,8 @@ from .analysis import (
     init_resilience,
     rank_sweep,
 )
-from .errors import ExpectileMFError, ParseError, RankNotOne, TooFewGroups
-from .expectiles import marginal_expectile_curves
+from .errors import ExpectileMFError, ParseError
+from .expectiles import check_tau, marginal_expectile_curves
 from .ingest import bin_records, filter_and_normalize, read_records_csv
 from .masked import (
     NormalizationInfo,
@@ -149,18 +149,12 @@ def cli():
 @click.option("--true-rank", type=int, default=2, show_default=True)
 @click.option("--sigma", type=float, default=0.3, show_default=True)
 @click.option("--na", type=float, default=0.3, show_default=True)
-@click.option("--r-sd", type=float, default=1.0, show_default=True)
-@click.option("--c-sd", type=float, default=1.0, show_default=True)
-@click.option("--u-sd", type=float, default=1.0, show_default=True)
-@click.option("--v-sd", type=float, default=1.0, show_default=True)
 @_seed_option
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
-def simulate(rows, cols, true_rank, sigma, na, r_sd, c_sd, u_sd, v_sd, seed, out):
+def simulate(rows, cols, true_rank, sigma, na, seed, out):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
-    spec = SimulationSpec(
-        m=rows, n=cols, r_sd=r_sd, c_sd=c_sd, u_sd=u_sd, v_sd=v_sd,
-        sigma=sigma, na_portion=na, true_rank=true_rank, seed=seed,
-    )
+    spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na, true_rank=true_rank,
+                          seed=seed)
     sim = generate(spec)
     out = Path(out)
     write_matrix_csv(sim.x, out)
@@ -200,14 +194,17 @@ def _prepare_fit_input(input_path, normalization_path):
 
 def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                 orient_pivot, warm=None) -> FitConfig:
-    """FitConfig from the shared fit options; a rank-1 fit of 288 rows pivots on row 72."""
+    """FitConfig from the shared fit options, checked against the input's rows; a
+    rank-1 fit of 288 rows pivots on row 72."""
     if orient_pivot is None and n_rows == 288 and rank == 1:
         orient_pivot = ORIENT_PIVOT_288
-    return FitConfig(
+    config = FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
         n_restarts=restarts, seed=seed, orient_pivot=orient_pivot, warm_start=warm,
     )
+    config.check_pivot(n_rows)
+    return config
 
 
 def _write_fit(model_path, report_path, tau, report: FitReport, info) -> list[Path]:
@@ -273,12 +270,15 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
             if f"{other:g}" == f"{tau:g}":
                 raise click.UsageError(
                     f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
+        check_tau(tau)
     x, info = _prepare_fit_input(input_path, normalization_path)
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
-    reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     out_dir = Path(output_dir)
+    # Every option is checked above, and the directory exists before any fit
+    # runs: a bad option or path fails fast and writes nothing.
     out_dir.mkdir(parents=True, exist_ok=True)
+    reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     outputs = []
     summary_rows = []
     for tau, report in zip(tau_values, reports):
@@ -341,7 +341,7 @@ def icc_cmd(input_path, out):
             values.append(value)
     n_groups = len(set(groups))
     if n_groups < 2:
-        raise TooFewGroups(f"{input_path}: need at least 2 distinct groups, got {n_groups}")
+        raise ExpectileMFError(f"{input_path}: need at least 2 distinct groups, got {n_groups}")
     value = icc(GroupedSeries(np.asarray(values), np.asarray(groups)))
     _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": n_groups})
     _manifest(out, "icc", [out])
@@ -384,7 +384,7 @@ def band_curves_cmd(model_path, out):
     if info is None:
         raise ExpectileMFError(f"{model_path}: carries no normalization info")
     if model.k != 1:
-        raise RankNotOne(f"{model_path}: band curves require k = 1, got k = {model.k}")
+        raise ExpectileMFError(f"{model_path}: band curves require k = 1, got k = {model.k}")
     lower, center, upper = band_curves(model, info)
     rows = []
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):
@@ -535,9 +535,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ValueError as exc:
-            # The config types (FitConfig, OptimizeOptions, SimulationSpec, Tau)
-            # and fit's pivot range check reject option values with ValueError;
-            # input readers raise ExpectileMFError.
+            # A bad option value (rejected by check_tau, the config types or
+            # the pivot range check) is a ValueError; bad data is an
+            # ExpectileMFError.
             print(f"Error: {exc}", file=sys.stderr)
             return 1
 

@@ -15,7 +15,7 @@ from datetime import date, datetime
 
 import numpy as np
 
-from .errors import EmptyInput, ParseError
+from .errors import ExpectileMFError, ParseError
 from .masked import MaskedMatrix, NormalizationInfo, drop_sparse_columns, normalize, open_input
 
 SEGMENTS_PER_DAY = 288
@@ -74,7 +74,7 @@ def bin_records(records) -> PersonDayMatrix:
         segments.append(segment_of(ts))
         bpms.append(rec.bpm)
     if not columns:
-        raise EmptyInput("no heart-rate records")
+        raise ExpectileMFError("no heart-rate records")
     labels = sorted(columns)
     n_cols = len(labels)
     position = np.empty(n_cols, dtype=np.intp)
@@ -111,7 +111,7 @@ def read_records_csv(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise EmptyInput(f"{path} is empty")
+            raise ExpectileMFError(f"{path} is empty")
         for col in (person_col, time_col, bpm_col):
             if col not in header:
                 raise ParseError(1, f"missing column {col!r} in header {header}")
@@ -135,7 +135,7 @@ def read_records_csv(
             except ValueError as exc:
                 raise ParseError(line_no, str(exc)) from None
     if not records:
-        raise EmptyInput(f"{path} has a header but no records")
+        raise ExpectileMFError(f"{path} has a header but no records")
     return records
 
 

@@ -14,17 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateMatrix,
-    DimensionMismatch,
-    EmptyResult,
-    ExpectileMFError,
-    NonFiniteValue,
-    ParseError,
-)
+from .errors import ExpectileMFError, ParseError
 
 
-def _frozen_array(arr, dtype) -> np.ndarray:
+def frozen_array(arr, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype)
     out.setflags(write=False)
     return out
@@ -41,18 +34,18 @@ class MaskedMatrix:
     mask: np.ndarray
 
     def __post_init__(self):
-        values = _frozen_array(self.values, float)
-        mask = _frozen_array(self.mask, bool)
+        values = frozen_array(self.values, float)
+        mask = frozen_array(self.mask, bool)
         if values.ndim != 2:
-            raise DimensionMismatch(f"values must be 2-D, got shape {values.shape}")
+            raise ExpectileMFError(f"values must be 2-D, got shape {values.shape}")
         if mask.shape != values.shape:
-            raise DimensionMismatch(
+            raise ExpectileMFError(
                 f"mask shape {mask.shape} != values shape {values.shape}"
             )
         finite = np.isfinite(values[mask])
         if not finite.all():
             i, j = divmod(int(np.flatnonzero(mask)[np.argmin(finite)]), values.shape[1])
-            raise NonFiniteValue(f"observed cell ({i}, {j}) is {float(values[i, j])!r}")
+            raise ExpectileMFError(f"observed cell ({i}, {j}) is {float(values[i, j])!r}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -101,7 +94,7 @@ class NormalizationInfo:
         if self.std <= 0.0:
             raise ValueError(f"std must be positive, got {self.std}")
         for name in ("row_means", "col_means"):
-            means = _frozen_array(getattr(self, name), float)
+            means = frozen_array(getattr(self, name), float)
             if not np.isfinite(means).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, means)
@@ -134,14 +127,14 @@ def global_stats(x: MaskedMatrix) -> tuple[float, float]:
     """
     obs = x.observed_values()
     if obs.size < 2:
-        raise DegenerateMatrix(f"need >= 2 observed entries, have {obs.size}")
+        raise ExpectileMFError(f"need >= 2 observed entries, have {obs.size}")
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(obs))
         std = float(np.std(obs))
     if not (np.isfinite(mean) and np.isfinite(std)):
-        raise DegenerateMatrix(f"observed entries overflow: mean {mean}, std {std}")
+        raise ExpectileMFError(f"observed entries overflow: mean {mean}, std {std}")
     if std <= 0.0:
-        raise DegenerateMatrix("observed entries have zero variance")
+        raise ExpectileMFError("observed entries have zero variance")
     return mean, std
 
 
@@ -188,7 +181,7 @@ def drop_sparse_columns(
     missing_frac = 1.0 - x.mask.mean(axis=0)
     kept = np.flatnonzero(missing_frac <= max_missing_fraction)
     if kept.size == 0:
-        raise EmptyResult("no column has enough observed entries")
+        raise ExpectileMFError("no column has enough observed entries")
     return MaskedMatrix(x.values[:, kept], x.mask[:, kept]), kept
 
 

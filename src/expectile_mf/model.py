@@ -14,24 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    EmptyMask,
-    LengthMismatch,
-    NonFiniteValue,
-    RankNotOne,
-    ZeroColumnWarning,
-)
-from .expectiles import Tau, as_tau
-from .masked import MaskedMatrix, NormalizationInfo
+from .errors import ExpectileMFError, ZeroColumnWarning
+from .expectiles import check_tau
+from .masked import MaskedMatrix, NormalizationInfo, frozen_array
 
 ZERO_COLUMN_NORM = 1e-14
-
-
-def _frozen(arr) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.setflags(write=False)
-    return out
 
 
 @dataclass(frozen=True)
@@ -44,18 +31,18 @@ class FactorModel:
     v: np.ndarray
 
     def __post_init__(self):
-        r, c, u, v = (_frozen(a) for a in (self.r, self.c, self.u, self.v))
+        r, c, u, v = (frozen_array(a, float) for a in (self.r, self.c, self.u, self.v))
         if r.ndim != 1 or c.ndim != 1 or u.ndim != 2 or v.ndim != 2:
-            raise DimensionMismatch("expected r (n,), c (p,), u (n,k), v (p,k)")
+            raise ExpectileMFError("expected r (n,), c (p,), u (n,k), v (p,k)")
         if u.shape != (r.size, u.shape[1]) or v.shape != (c.size, u.shape[1]):
-            raise DimensionMismatch(
+            raise ExpectileMFError(
                 f"inconsistent shapes: r {r.shape}, c {c.shape}, u {u.shape}, v {v.shape}"
             )
         if u.shape[1] < 1:
-            raise DimensionMismatch("rank k must be >= 1")
+            raise ExpectileMFError("rank k must be >= 1")
         for name, a in (("r", r), ("c", c), ("u", u), ("v", v)):
             if not np.isfinite(a).all():
-                raise NonFiniteValue(f"{name} holds a non-finite value")
+                raise ExpectileMFError(f"{name} holds a non-finite value")
             object.__setattr__(self, name, a)
 
     @property
@@ -86,7 +73,7 @@ def fitted_matrix(model: FactorModel) -> np.ndarray:
 
 def _check_dims(model: FactorModel, x: MaskedMatrix) -> None:
     if (model.n, model.p) != (x.n_rows, x.n_cols):
-        raise DimensionMismatch(
+        raise ExpectileMFError(
             f"model is {model.n}x{model.p}, data is {x.n_rows}x{x.n_cols}"
         )
 
@@ -117,11 +104,11 @@ class Objective:
     start from +0), which changes no value that is compared with ==.
     """
 
-    def __init__(self, x: MaskedMatrix, tau: "float | Tau", k: int):
+    def __init__(self, x: MaskedMatrix, tau: float, k: int):
         self.n_obs = x.observed_count()
         if self.n_obs == 0:
-            raise EmptyMask("no observed cells")
-        self.tau = as_tau(tau).value
+            raise ExpectileMFError("no observed cells")
+        self.tau = check_tau(tau)
         self.n, self.p, self.k = x.n_rows, x.n_cols, k
         self._values = np.where(x.mask, x.values, 0.0)
         self._mask = x.mask.astype(float)
@@ -162,7 +149,7 @@ class Objective:
         return loss, grad
 
 
-def loss_and_gradient(model: FactorModel, x: MaskedMatrix, tau: "float | Tau") -> LossValue:
+def loss_and_gradient(model: FactorModel, x: MaskedMatrix, tau: float) -> LossValue:
     """Mean weighted squared residual over observed cells, with gradient.
 
     One-off evaluation through Objective; a fit builds its Objective once.
@@ -180,7 +167,7 @@ def _split(vec, n: int, p: int, k: int):
     vec = np.asarray(vec, dtype=float).ravel()
     expected = (n + p) * (1 + k)
     if vec.size != expected:
-        raise LengthMismatch(f"expected length {expected} for ({n}, {p}, {k}), got {vec.size}")
+        raise ExpectileMFError(f"expected length {expected} for ({n}, {p}, {k}), got {vec.size}")
     uv = vec[n + p :]
     return vec[:n], vec[n : n + p], uv[: n * k].reshape(n, k), uv[n * k :].reshape(p, k)
 
@@ -223,7 +210,7 @@ def canonicalize(model: FactorModel) -> FactorModel:
 def orient_rank1(model: FactorModel, pivot_row: int) -> FactorModel:
     """Fix the sign of a rank-1 fit so u is non-negative at the pivot row."""
     if model.k != 1:
-        raise RankNotOne(f"orientation applies only to k = 1, got k = {model.k}")
+        raise ExpectileMFError(f"orientation applies only to k = 1, got k = {model.k}")
     if not 0 <= pivot_row < model.n:
         raise ValueError(f"pivot_row {pivot_row} out of range for {model.n} rows")
     if model.u[pivot_row, 0] < 0.0:
@@ -233,14 +220,14 @@ def orient_rank1(model: FactorModel, pivot_row: int) -> FactorModel:
 
 def model_to_dict(
     model: FactorModel,
-    tau: "float | Tau | None" = None,
+    tau: "float | None" = None,
     normalization: "NormalizationInfo | None" = None,
 ) -> dict:
     return {
         "n": model.n,
         "p": model.p,
         "k": model.k,
-        "tau": as_tau(tau).value if tau is not None else None,
+        "tau": check_tau(tau) if tau is not None else None,
         "r": model.r.tolist(),
         "c": model.c.tolist(),
         "u": model.u.ravel().tolist(),
@@ -252,10 +239,10 @@ def model_to_dict(
 def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, NormalizationInfo | None]":
     n, p, k = (doc[name] for name in "npk")
     if any(type(d) is not int for d in (n, p, k)):  # bool is an int subclass; reject it too
-        raise DimensionMismatch(f"declared n, p and k must be integers, got {n!r}, {p!r}, {k!r}")
+        raise ExpectileMFError(f"declared n, p and k must be integers, got {n!r}, {p!r}, {k!r}")
     r, c, u, v = (np.asarray(doc[name], dtype=float) for name in "rcuv")
     if (r.size, c.size, u.size, v.size) != (n, p, n * k, p * k):
-        raise DimensionMismatch(
+        raise ExpectileMFError(
             f"declared n={n}, p={p}, k={k} but r, c, u, v hold "
             f"{r.size}, {c.size}, {u.size}, {v.size} values"
         )

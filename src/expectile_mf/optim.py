@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteObjective
+from .errors import ExpectileMFError
 
 STATUS_GRAD_TOL = "grad_tolerance_met"
 STATUS_MAX_ITERS = "max_iters"
@@ -80,7 +80,7 @@ def _counted(objective, counter):
         loss = float(loss)
         grad = np.asarray(grad, dtype=float)
         if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise NonFiniteObjective("objective returned NaN or Inf")
+            raise ExpectileMFError("objective returned NaN or Inf")
         if grad.shape != x.shape:
             raise ValueError(f"gradient shape {grad.shape} != point shape {x.shape}")
         return loss, grad

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DegenerateMatrix, DimensionMismatch, UnnormalizedDataWarning
-from .expectiles import Tau, as_tau
+from .errors import ExpectileMFError, UnnormalizedDataWarning
+from .expectiles import check_tau
 from .masked import MaskedMatrix, global_stats
 from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
 from .optim import OptimizeOptions, OptimizeResult, minimize
@@ -27,7 +27,7 @@ _NORMALIZED_STD_SLACK = 0.05
 
 @dataclass
 class FitConfig:
-    tau: "float | Tau" = 0.5
+    tau: float = 0.5
     k: int = 1
     opts: OptimizeOptions = field(default_factory=OptimizeOptions)
     n_restarts: int = 1
@@ -36,7 +36,7 @@ class FitConfig:
     warm_start: "FactorModel | None" = None
 
     def __post_init__(self):
-        self.tau = as_tau(self.tau)
+        self.tau = check_tau(self.tau)
         if self.k < 1:
             raise ValueError("k must be >= 1")
         if self.n_restarts < 1:
@@ -45,6 +45,11 @@ class FitConfig:
             raise ValueError("a warm start runs one optimization; it cannot take n_restarts > 1")
         if self.orient_pivot is not None and self.k != 1:
             raise ValueError(f"orient_pivot applies only to k = 1, got k = {self.k}")
+
+    def check_pivot(self, n_rows: int) -> None:
+        """ValueError unless orient_pivot is None or names one of n_rows rows."""
+        if self.orient_pivot is not None and not 0 <= self.orient_pivot < n_rows:
+            raise ValueError(f"orient_pivot {self.orient_pivot} out of range for {n_rows} rows")
 
 
 @dataclass
@@ -75,7 +80,7 @@ def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
 def _warn_if_unnormalized(x: MaskedMatrix) -> None:
     try:
         mean, std = global_stats(x)
-    except DegenerateMatrix:
+    except ExpectileMFError:
         return
     if abs(mean) > _NORMALIZED_MEAN_SLACK or abs(std - 1.0) > _NORMALIZED_STD_SLACK:
         warnings.warn(
@@ -93,13 +98,12 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     are chosen by final loss with ties broken by restart index.
     """
     n, p, k = x.n_rows, x.n_cols, config.k
-    if config.orient_pivot is not None and not 0 <= config.orient_pivot < n:
-        raise ValueError(f"orient_pivot {config.orient_pivot} out of range for {n} rows")
+    config.check_pivot(n)
     _warn_if_unnormalized(x)
     row_means = np.asarray(row_means, dtype=float)
     col_means = np.asarray(col_means, dtype=float)
     if row_means.size != n or col_means.size != p:
-        raise DimensionMismatch(
+        raise ExpectileMFError(
             f"means have lengths ({row_means.size}, {col_means.size}), data is {n}x{p}"
         )
     objective = Objective(x, config.tau, k)
@@ -107,7 +111,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     if config.warm_start is not None:
         ws = config.warm_start
         if (ws.n, ws.p, ws.k) != (n, p, k):
-            raise DimensionMismatch(
+            raise ExpectileMFError(
                 f"warm start is ({ws.n}, {ws.p}, {ws.k}), expected ({n}, {p}, {k})"
             )
         starts = [flatten(ws)]
@@ -142,7 +146,7 @@ def tau_sweep(x: MaskedMatrix, row_means, col_means, config: FitConfig, taus) ->
     not among the requested levels); every other level runs once from the
     anchor solution. Reports come back in the order of taus.
     """
-    tau_values = [as_tau(t).value for t in taus]
+    tau_values = [check_tau(t) for t in taus]
     if not tau_values:
         raise ValueError("taus must be non-empty")
     anchor = fit(x, row_means, col_means, replace(config, tau=0.5, warm_start=None))

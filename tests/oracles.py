@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from expectile_mf.errors import NonFiniteObjective
+from expectile_mf.errors import ExpectileMFError
 
 
 def loop_masked_stats(values, mask):
@@ -263,7 +263,7 @@ def finite_difference_gradient(objective, x, step=1e-6):
         f_plus = float(objective(x + bump)[0])
         f_minus = float(objective(x - bump)[0])
         if not (math.isfinite(f_plus) and math.isfinite(f_minus)):
-            raise NonFiniteObjective("objective returned NaN or Inf")
+            raise ExpectileMFError("objective returned NaN or Inf")
         grad[i] = (f_plus - f_minus) / (2.0 * step)
     return grad
 

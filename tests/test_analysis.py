@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expectile_mf import (
-    DegenerateVariance,
+    ExpectileMFError,
     FactorModel,
     FitConfig,
     GroupedSeries,
     NormalizationInfo,
-    RankNotOne,
     SimulationSpec,
     band_curves,
     compare_algorithms,
@@ -63,7 +62,7 @@ class TestIcc:
         assert abs(base - moved) < 1e-9
 
     def test_degenerate_variance(self):
-        with pytest.raises(DegenerateVariance):
+        with pytest.raises(ExpectileMFError, match="^values have zero variance$"):
             icc(grouped([2.0, 2.0, 2.0, 2.0], ["a", "a", "b", "b"]))
 
     def test_needs_two_groups(self):
@@ -133,7 +132,7 @@ class TestBandCurves:
     def test_rank_guard(self, rng):
         m = FactorModel(rng.normal(size=4), rng.normal(size=3),
                         rng.normal(size=(4, 2)), rng.normal(size=(3, 2)))
-        with pytest.raises(RankNotOne):
+        with pytest.raises(ExpectileMFError, match="^band curves require k = 1, got k = 2$"):
             band_curves(m, self.make_info(4, 3))
 
 

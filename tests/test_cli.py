@@ -153,6 +153,19 @@ class TestTauSweep:
         assert "both write model_tau" in capsys.readouterr().err
         assert not out_dir.exists()
 
+    def test_output_dir_on_a_file_fails_before_fitting(self, sim_csv, tmp_path, monkeypatch,
+                                                       capsys):
+        def no_fits(*args, **kwargs):
+            raise AssertionError("tau_sweep ran before the output directory was made")
+
+        monkeypatch.setattr("expectile_mf.cli.tau_sweep", no_fits)
+        taken = tmp_path / "taken.csv"
+        taken.write_text("")
+        capsys.readouterr()
+        assert run(["tau-sweep", "--input", sim_csv, "--output-dir", taken]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("model_tau*.json"))
+
     def test_sweep_outputs(self, sim_csv, tmp_path):
         out_dir = tmp_path / "sweep"
         code = run(["tau-sweep", "--input", sim_csv, "--taus", "0.1,0.5,0.9",
@@ -386,8 +399,8 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "m2.json").exists()
 
-    # Each config type (SimulationSpec, FitConfig, OptimizeOptions, Tau), and
-    # fit's pivot range check, rejects a bad option value with ValueError,
+    # check_tau, each config type (SimulationSpec, FitConfig, OptimizeOptions)
+    # and the pivot range check reject a bad option value with ValueError,
     # which main reports as a usage error before any output is written.
     @pytest.mark.parametrize(
         "argv, message",
@@ -429,11 +442,14 @@ class TestExitCodes:
              "orient_pivot applies only to k = 1, got k = 2"),
             (["tau-sweep", "--input", "X.csv", "--orient-pivot", -1, "--output-dir", "out"],
              "orient_pivot -1 out of range for 30 rows"),
+            (["tau-sweep", "--input", "X.csv", "--taus", "0.5,1.5", "--output-dir", "out"],
+             "tau must be in (0, 1), got 1.5"),
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
              "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
              "rank-sweep-repeated-algorithms", "resilience", "expectiles",
-             "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range"],
+             "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
+             "tau-sweep-tau"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)

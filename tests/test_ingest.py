@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expectile_mf import (
-    EmptyInput,
+    ExpectileMFError,
     HeartRateRecord,
     MaskedMatrix,
     ParseError,
@@ -157,7 +157,7 @@ class TestBinRecords:
             PersonDayMatrix(MaskedMatrix(values, mask), (("p1", "2016-04-01"),))
 
     def test_empty_stream(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ExpectileMFError, match="^no heart-rate records$"):
             bin_records([])
 
 
@@ -222,7 +222,7 @@ class TestReadRecordsCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "hr.csv"
         path.write_text("person_id,timestamp,bpm\n")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(ExpectileMFError, match="hr.csv has a header but no records$"):
             read_records_csv(path)
 
 

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from expectile_mf import (
-    DegenerateMatrix,
-    DimensionMismatch,
-    EmptyResult,
+    ExpectileMFError,
     MaskedMatrix,
-    NonFiniteValue,
     NormalizationInfo,
     ParseError,
     drop_sparse_columns,
@@ -58,7 +55,8 @@ def random_masked(rng, n=10, p=10, missing=0.3):
 
 class TestMaskedMatrix:
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ExpectileMFError,
+                           match=r"^mask shape \(3, 2\) != values shape \(2, 3\)$"):
             MaskedMatrix(np.zeros((2, 3)), np.ones((3, 2), dtype=bool))
 
     def test_counts_and_accessors(self):
@@ -79,11 +77,11 @@ class TestMaskedMatrix:
         values = np.zeros((3, 4))
         values[1, 2] = bad
         values[2, 0] = bad
-        with pytest.raises(NonFiniteValue, match=r"observed cell \(1, 2\) is"):
+        with pytest.raises(ExpectileMFError, match=r"^observed cell \(1, 2\) is"):
             MaskedMatrix(values, np.ones((3, 4), dtype=bool))
 
     def test_from_dense_rejects_infinity(self):
-        with pytest.raises(NonFiniteValue, match=r"observed cell \(0, 1\) is -inf"):
+        with pytest.raises(ExpectileMFError, match=r"^observed cell \(0, 1\) is -inf"):
             MaskedMatrix.from_dense([[1.0, -np.inf], [np.nan, 2.0]])
 
     def test_non_finite_unobserved_cell_accepted(self):
@@ -104,12 +102,12 @@ class TestGlobalStats:
 
     def test_constant_matrix_degenerate(self):
         x = MaskedMatrix(np.full((3, 3), 5.0), np.ones((3, 3), dtype=bool))
-        with pytest.raises(DegenerateMatrix):
+        with pytest.raises(ExpectileMFError, match="^observed entries have zero variance$"):
             global_stats(x)
 
     def test_single_observation_degenerate(self):
         x = MaskedMatrix([[1.0, 0.0]], [[True, False]])
-        with pytest.raises(DegenerateMatrix):
+        with pytest.raises(ExpectileMFError, match="^need >= 2 observed entries, have 1$"):
             global_stats(x)
 
     def test_fixture_against_frozen_oracle_values(self):
@@ -152,7 +150,7 @@ class TestGlobalStats:
     @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]]])
     def test_overflowing_or_infinite_entries_degenerate(self, values):
         x = MaskedMatrix(values, np.ones((2, 2), dtype=bool))
-        with pytest.raises(DegenerateMatrix):
+        with pytest.raises(ExpectileMFError, match="^observed entries overflow: mean "):
             global_stats(x)
 
 
@@ -247,7 +245,7 @@ class TestDropSparseColumns:
 
     def test_no_survivors(self):
         x = MaskedMatrix(np.zeros((4, 2)), np.zeros((4, 2), dtype=bool))
-        with pytest.raises(EmptyResult):
+        with pytest.raises(ExpectileMFError, match="^no column has enough observed entries$"):
             drop_sparse_columns(x, 0.5)
 
     def test_threshold_domain(self):

@@ -6,14 +6,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from expectile_mf import (
-    DimensionMismatch,
-    EmptyMask,
+    ExpectileMFError,
     FactorModel,
-    LengthMismatch,
     MaskedMatrix,
     Objective,
     OptimizeOptions,
-    RankNotOne,
     SimulationSpec,
     ZeroColumnWarning,
     canonicalize,
@@ -152,13 +149,13 @@ class TestLossAndGradient:
     def test_dimension_mismatch(self, rng):
         model, _ = random_instance(rng, n=3, p=4)
         x = MaskedMatrix(np.zeros((4, 3)), np.ones((4, 3), dtype=bool))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ExpectileMFError, match="^model is 3x4, data is 4x3$"):
             loss_and_gradient(model, x, 0.5)
 
     def test_empty_mask(self, rng):
         model, _ = random_instance(rng, n=2, p=2)
         x = MaskedMatrix(np.zeros((2, 2)), np.zeros((2, 2), dtype=bool))
-        with pytest.raises(EmptyMask):
+        with pytest.raises(ExpectileMFError, match="^no observed cells$"):
             loss_and_gradient(model, x, 0.5)
 
 
@@ -244,7 +241,7 @@ class TestObjective:
 
     def test_length_mismatch(self, rng):
         _, x = random_instance(rng, n=3, p=4, k=1)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ExpectileMFError, match=r"^expected length 14 for \(3, 4, 1\), got 7$"):
             Objective(x, 0.5, 1)(np.zeros(7))
 
 
@@ -269,7 +266,7 @@ class TestFlattenUnflatten:
         assert np.array_equal(back.v, m.v)
 
     def test_wrong_length(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ExpectileMFError, match=r"^expected length 8 for \(2, 2, 1\), got 7$"):
             unflatten(np.zeros(7), 2, 2, 1)
 
 
@@ -332,7 +329,7 @@ class TestOrientRank1:
 
     def test_rank_guard(self, rng):
         m = random_model(rng, 4, 3, 2)
-        with pytest.raises(RankNotOne):
+        with pytest.raises(ExpectileMFError, match="^orientation applies only to k = 1, got k = 2$"):
             orient_rank1(m, 0)
 
     def test_pivot_range(self, rng):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from expectile_mf import (
-    NonFiniteObjective,
+    ExpectileMFError,
     Objective,
     OptimizeOptions,
     SimulationSpec,
@@ -261,7 +261,7 @@ class TestFailureModes:
         def bad(x):
             return float("nan"), np.zeros_like(x)
 
-        with pytest.raises(NonFiniteObjective):
+        with pytest.raises(ExpectileMFError, match="^objective returned NaN or Inf$"):
             minimize(bad, np.zeros(2))
 
     def test_max_iters_status(self):

@@ -46,6 +46,11 @@ class TestFitConfig:
         with pytest.raises(ValueError):
             FitConfig(tau=0.5, k=1, n_restarts=0)
 
+    def test_tau_is_a_plain_float(self):
+        tau = FitConfig(tau=0.25).tau
+        assert type(tau) is float and tau == 0.25
+        assert type(FitConfig(tau=np.float32(0.5)).tau) is float
+
     def test_warm_start_rejects_restarts(self):
         warm = initial_model(np.zeros(3), np.zeros(4), 1, seed=0)
         FitConfig(tau=0.5, k=1, warm_start=warm)
