@@ -7,7 +7,6 @@ weighted mean squared residual over the observed cells.
 
 from .analysis import (
     AlgoComparison,
-    GroupedSeries,
     PairStudyResult,
     RankSweep,
     band_curves,
@@ -24,7 +23,6 @@ from .errors import (
 )
 from .expectiles import check_tau, marginal_expectile_curves, scalar_expectile
 from .ingest import (
-    HeartRateRecord,
     PersonDayMatrix,
     bin_records,
     filter_and_normalize,

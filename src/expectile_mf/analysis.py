@@ -24,36 +24,23 @@ from .util import derive_seeds
 ALGORITHM_ORDER = ALGORITHMS
 
 
-@dataclass(frozen=True)
-class GroupedSeries:
-    """Values with a group label per entry, for variance decomposition."""
-
-    values: np.ndarray
-    group_ids: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        group_ids = np.asarray(self.group_ids)
-        if values.ndim != 1 or group_ids.shape != values.shape:
-            raise ValueError("values and group_ids must be 1-D and the same length")
-        if np.unique(group_ids).size < 2:
-            raise ValueError("need at least 2 distinct groups")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "group_ids", group_ids)
-
-
-def icc(data: GroupedSeries) -> float:
-    """Between-group share of total variance, in [0, 1].
+def icc(values, group_ids) -> float:
+    """Between-group share of total variance, in [0, 1], of values labelled by group_ids.
 
     Computed as Var(group mean of each observation) / Var(values) with
     population variances, which weights group means by group size.
     """
-    values = data.values
+    values = np.asarray(values, dtype=float)
+    group_ids = np.asarray(group_ids)
+    if values.ndim != 1 or group_ids.shape != values.shape:
+        raise ValueError("values and group_ids must be 1-D and the same length")
+    groups, inverse = np.unique(group_ids, return_inverse=True)
+    if groups.size < 2:
+        raise ExpectileMFError(f"need at least 2 distinct groups, got {groups.size}")
     grand = float(values.mean())
     total = float(np.mean((values - grand) ** 2))
     if total <= 0.0:
         raise ExpectileMFError("values have zero variance")
-    _, inverse = np.unique(data.group_ids, return_inverse=True)
     sums = np.bincount(inverse, weights=values)
     counts = np.bincount(inverse)
     group_means = sums / counts

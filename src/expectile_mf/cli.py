@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
-    GroupedSeries,
     band_curves,
     compare_algorithms,
     icc,
@@ -275,10 +274,16 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
     out_dir = Path(output_dir)
-    # Every option is checked above, and the directory exists before any fit
-    # runs: a bad option or path fails fast and writes nothing.
+    # Options are checked above and the directory is made before any fit, so a bad option or
+    # path writes nothing; no file is written until the last fit, so a failed fit removes `made`.
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
+    try:
+        reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
+    except BaseException:
+        for path in made:
+            path.rmdir()
+        raise
     outputs = []
     summary_rows = []
     for tau, report in zip(tau_values, reports):
@@ -339,11 +344,11 @@ def icc_cmd(input_path, out):
             if not np.isfinite(value):
                 raise ParseError(line_no, f"non-finite value {value!r}")
             values.append(value)
-    n_groups = len(set(groups))
-    if n_groups < 2:
-        raise ExpectileMFError(f"{input_path}: need at least 2 distinct groups, got {n_groups}")
-    value = icc(GroupedSeries(np.asarray(values), np.asarray(groups)))
-    _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": n_groups})
+    try:
+        value = icc(values, groups)
+    except ExpectileMFError as exc:
+        raise ExpectileMFError(f"{input_path}: {exc}") from None
+    _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": len(set(groups))})
     _manifest(out, "icc", [out])
     click.echo(f"icc {_fmt(value)}")
 

@@ -23,17 +23,6 @@ SECONDS_PER_SEGMENT = 300
 
 
 @dataclass(frozen=True)
-class HeartRateRecord:
-    person_id: str
-    timestamp: datetime
-    bpm: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.bpm) and self.bpm > 0.0):
-            raise ValueError(f"bpm must be finite and positive, got {self.bpm}")
-
-
-@dataclass(frozen=True)
 class PersonDayMatrix:
     """288 x n_person_days matrix plus (person_id, date) column labels."""
 
@@ -59,7 +48,7 @@ def segment_of(ts: datetime) -> int:
 
 
 def bin_records(records) -> PersonDayMatrix:
-    """Median-aggregate a record stream into the person-day matrix.
+    """Median-aggregate (person_id, timestamp, bpm) records into the person-day matrix.
 
     Order-independent: every record lands in exactly one (person, date,
     segment) cell, and one sort by (cell, bpm) puts each cell's readings in
@@ -68,19 +57,21 @@ def bin_records(records) -> PersonDayMatrix:
     """
     columns: dict[tuple[str, date], int] = {}
     col_ids, segments, bpms = [], [], []
-    for rec in records:
-        ts = rec.timestamp
-        col_ids.append(columns.setdefault((rec.person_id, ts.date()), len(columns)))
+    for person_id, ts, bpm in records:
+        col_ids.append(columns.setdefault((person_id, ts.date()), len(columns)))
         segments.append(segment_of(ts))
-        bpms.append(rec.bpm)
+        bpms.append(bpm)
     if not columns:
         raise ExpectileMFError("no heart-rate records")
+    bpm = np.asarray(bpms, dtype=float)
+    bad = np.flatnonzero(~(np.isfinite(bpm) & (bpm > 0.0)))
+    if bad.size:
+        raise ExpectileMFError(f"record {bad[0]}: bpm must be finite and positive, got {bpm[bad[0]]}")
     labels = sorted(columns)
     n_cols = len(labels)
     position = np.empty(n_cols, dtype=np.intp)
     position[[columns[label] for label in labels]] = np.arange(n_cols)
     cell = np.asarray(segments, dtype=np.intp) * n_cols + position[col_ids]
-    bpm = np.asarray(bpms, dtype=float)
     order = np.lexsort((bpm, cell))
     cell, bpm = cell[order], bpm[order]
     starts = np.flatnonzero(np.concatenate(([True], cell[1:] != cell[:-1])))
@@ -104,8 +95,8 @@ def read_records_csv(
     person_col: str = "person_id",
     time_col: str = "timestamp",
     bpm_col: str = "bpm",
-) -> list[HeartRateRecord]:
-    """Parse a header-ed CSV of records; column names are remappable."""
+) -> list[tuple[str, datetime, float]]:
+    """Parse a header-ed CSV into (person_id, timestamp, bpm) records; columns are remappable."""
     records = []
     with open_input(path) as fh:
         reader = csv.reader(fh)
@@ -130,10 +121,9 @@ def read_records_csv(
                 bpm = float(row[bpm_at])
             except ValueError:
                 raise ParseError(line_no, f"bad bpm {row[bpm_at]!r}") from None
-            try:
-                records.append(HeartRateRecord(row[person_at], ts, bpm))
-            except ValueError as exc:
-                raise ParseError(line_no, str(exc)) from None
+            if not (math.isfinite(bpm) and bpm > 0.0):
+                raise ParseError(line_no, f"bpm must be finite and positive, got {bpm}")
+            records.append((row[person_at], ts, bpm))
     if not records:
         raise ExpectileMFError(f"{path} has a header but no records")
     return records

@@ -219,18 +219,17 @@ class DenseBfgsRule:
 
 
 def loop_bin_records(records):
-    """Per-cell np.median of heart-rate records grouped in dicts of lists.
+    """Per-cell np.median of (person_id, timestamp, bpm) records grouped in dicts of lists.
 
     Returns (values, mask, labels) of the 288 x person-days matrix, columns
     ordered by (person_id, date), cells keyed by wall-clock five-minute
     segment.
     """
     cells = {}
-    for rec in records:
-        ts = rec.timestamp
-        day = cells.setdefault((rec.person_id, ts.date()), {})
+    for person_id, ts, bpm in records:
+        day = cells.setdefault((person_id, ts.date()), {})
         segment = (ts.hour * 3600 + ts.minute * 60 + ts.second) // 300
-        day.setdefault(segment, []).append(rec.bpm)
+        day.setdefault(segment, []).append(bpm)
     labels = sorted(cells)
     values = np.zeros((288, len(labels)))
     mask = np.zeros((288, len(labels)), dtype=bool)

@@ -15,7 +15,6 @@ import numpy as np
 from expectile_mf import (
     FactorModel,
     FitConfig,
-    GroupedSeries,
     MaskedMatrix,
     OptimizeOptions,
     SimulationSpec,
@@ -37,7 +36,7 @@ from expectile_mf import (
     unflatten,
 )
 from expectile_mf.cli import main as cli_main
-from expectile_mf.ingest import SEGMENTS_PER_DAY, HeartRateRecord
+from expectile_mf.ingest import SEGMENTS_PER_DAY
 from oracles import (
     expectile_grid_bisect,
     finite_difference_gradient,
@@ -304,8 +303,8 @@ def test_criterion_07_expectile_oracle():
 
 
 def test_criterion_08_icc():
-    perfect = icc(GroupedSeries(np.array([1.0, 1.0, 2.0, 2.0]), np.array([0, 0, 1, 1])))
-    null = icc(GroupedSeries(np.array([1.0, 2.0, 1.0, 2.0]), np.array([0, 0, 1, 1])))
+    perfect = icc(np.array([1.0, 1.0, 2.0, 2.0]), np.array([0, 0, 1, 1]))
+    null = icc(np.array([1.0, 2.0, 1.0, 2.0]), np.array([0, 0, 1, 1]))
     rng = np.random.default_rng(808)
     worst = 0.0
     for _ in range(50):
@@ -313,7 +312,7 @@ def test_criterion_08_icc():
         sizes = rng.integers(1, 9, size=n_groups)
         groups = np.repeat(np.arange(n_groups), sizes)
         values = rng.normal(size=groups.size) + groups * rng.uniform(0.0, 3.0)
-        worst = max(worst, abs(icc(GroupedSeries(values, groups))
+        worst = max(worst, abs(icc(values, groups)
                                - icc_two_pass(values.tolist(), groups.tolist())))
     ok = perfect == 1.0 and null == 0.0 and worst <= 1e-12
     assert report(
@@ -350,7 +349,7 @@ def build_fixture_records():
                     minutes = segment * 5
                     ts = datetime(2016, 4, day, minutes // 60, minutes % 60, 5 * sample_idx)
                     records.append(
-                        HeartRateRecord(person, ts, fixture_bpm(person_idx, day, segment, sample_idx))
+                        (person, ts, fixture_bpm(person_idx, day, segment, sample_idx))
                     )
     return records
 

@@ -7,7 +7,6 @@ from expectile_mf import (
     ExpectileMFError,
     FactorModel,
     FitConfig,
-    GroupedSeries,
     NormalizationInfo,
     SimulationSpec,
     band_curves,
@@ -22,16 +21,12 @@ from expectile_mf import analysis
 from oracles import icc_two_pass, rmse_from_loss
 
 
-def grouped(values, groups):
-    return GroupedSeries(np.asarray(values, dtype=float), np.asarray(groups))
-
-
 class TestIcc:
     def test_perfect_grouping(self):
-        assert icc(grouped([1, 1, 2, 2], ["a", "a", "b", "b"])) == 1.0
+        assert icc([1, 1, 2, 2], ["a", "a", "b", "b"]) == 1.0
 
     def test_identical_group_means(self):
-        assert icc(grouped([1, 2, 1, 2], ["a", "a", "b", "b"])) == 0.0
+        assert icc([1, 2, 1, 2], ["a", "a", "b", "b"]) == 0.0
 
     def test_matches_two_pass_oracle(self, rng):
         for _ in range(50):
@@ -39,7 +34,7 @@ class TestIcc:
             sizes = rng.integers(1, 8, size=n_groups)
             groups = np.repeat(np.arange(n_groups), sizes)
             values = rng.normal(size=groups.size) + groups * rng.uniform(0, 2)
-            got = icc(grouped(values, groups))
+            got = icc(values, groups)
             want = icc_two_pass(values.tolist(), groups.tolist())
             assert abs(got - want) < 1e-12
 
@@ -49,7 +44,7 @@ class TestIcc:
             groups = rng.integers(0, 4, size=30)
             if np.unique(groups).size < 2:
                 continue
-            v = icc(grouped(values, groups))
+            v = icc(values, groups)
             assert 0.0 <= v <= 1.0
 
     @given(shift=st.floats(min_value=-50, max_value=50),
@@ -57,17 +52,17 @@ class TestIcc:
     def test_shift_and_scale_invariance(self, shift, scale):
         values = np.array([0.5, 1.5, 0.7, 3.2, 3.0, 2.8])
         groups = np.array([0, 0, 0, 1, 1, 1])
-        base = icc(grouped(values, groups))
-        moved = icc(grouped(values * scale + shift, groups))
+        base = icc(values, groups)
+        moved = icc(values * scale + shift, groups)
         assert abs(base - moved) < 1e-9
 
     def test_degenerate_variance(self):
         with pytest.raises(ExpectileMFError, match="^values have zero variance$"):
-            icc(grouped([2.0, 2.0, 2.0, 2.0], ["a", "a", "b", "b"]))
+            icc([2.0, 2.0, 2.0, 2.0], ["a", "a", "b", "b"])
 
     def test_needs_two_groups(self):
-        with pytest.raises(ValueError):
-            GroupedSeries(np.array([1.0, 2.0]), np.array(["a", "a"]))
+        with pytest.raises(ExpectileMFError, match="^need at least 2 distinct groups, got 1$"):
+            icc([1.0, 2.0], ["a", "a"])
 
 
 class TestRmseFromLoss:

@@ -166,6 +166,23 @@ class TestTauSweep:
         assert "File exists" in capsys.readouterr().err
         assert not list(tmp_path.rglob("model_tau*.json"))
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
+    def test_failed_sweep_removes_only_directories_it_made(self, tmp_path, capsys, existing):
+        x_csv = tmp_path / "nan.csv"
+        x_csv.write_text("nan,nan\nnan,nan\n")
+        sidecar = tmp_path / "nan.normalization.json"
+        sidecar.write_text(json.dumps({"mean": 0.0, "std": 1.0, "row_means": [0.0, 0.0],
+                                       "col_means": [0.0, 0.0]}))
+        out_dir = tmp_path / "out" / "sweep"
+        if existing:
+            out_dir.mkdir(parents=True)
+        capsys.readouterr()
+        assert run(["tau-sweep", "--input", x_csv, "--normalization", sidecar,
+                    "--output-dir", out_dir]) == 2
+        assert capsys.readouterr().err == "error: no observed cells\n"
+        assert out_dir.exists() == existing
+        assert (tmp_path / "out").exists() == existing
+
     def test_sweep_outputs(self, sim_csv, tmp_path):
         out_dir = tmp_path / "sweep"
         code = run(["tau-sweep", "--input", sim_csv, "--taus", "0.1,0.5,0.9",
@@ -535,6 +552,15 @@ class TestExitCodes:
         capsys.readouterr()
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
+        assert not out.exists()
+
+    def test_zero_variance_icc_is_two_naming_file(self, tmp_path, capsys):
+        data = tmp_path / "grouped.csv"
+        data.write_text("a,1\nb,1\n")
+        out = tmp_path / "icc.json"
+        capsys.readouterr()
+        assert run(["icc", "--input", data, "--out", out]) == 2
+        assert capsys.readouterr().err == f"error: {data}: values have zero variance\n"
         assert not out.exists()
 
     def test_parse_error_is_two(self, tmp_path):

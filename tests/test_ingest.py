@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from expectile_mf import (
     ExpectileMFError,
-    HeartRateRecord,
     MaskedMatrix,
     ParseError,
     PersonDayMatrix,
@@ -21,7 +20,7 @@ from oracles import loop_bin_records, median_sorted
 
 
 def rec(person, iso_ts, bpm):
-    return HeartRateRecord(person, datetime.fromisoformat(iso_ts), bpm)
+    return (person, datetime.fromisoformat(iso_ts), bpm)
 
 
 BPM = st.floats(min_value=0.0, max_value=1e300, exclude_min=True)
@@ -38,11 +37,25 @@ CELL = st.tuples(
 )
 
 
+BAD_BPM = [0.0, -5.0, float("nan"), float("inf")]
+
+
 class TestRecordValidation:
-    @pytest.mark.parametrize("bpm", [0.0, -5.0, float("nan"), float("inf")])
-    def test_bad_bpm_rejected(self, bpm):
-        with pytest.raises(ValueError):
-            rec("p1", "2016-04-01T10:00:00", bpm)
+    @pytest.mark.parametrize("bpm", BAD_BPM)
+    def test_bad_bpm_rejected(self, tmp_path, bpm):
+        path = tmp_path / "hr.csv"
+        path.write_text("person_id,timestamp,bpm\n"
+                        "p1,2016-04-01T10:00:00,70\n"
+                        f"p1,2016-04-01T10:01:00,{bpm}\n")
+        with pytest.raises(ParseError, match="bpm must be finite and positive") as err:
+            read_records_csv(path)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("bpm", BAD_BPM)
+    def test_bin_records_rejects_bad_bpm(self, bpm):
+        records = [rec("p1", "2016-04-01T10:00:00", 70.0), rec("p1", "2016-04-01T10:01:00", bpm)]
+        with pytest.raises(ExpectileMFError, match="^record 1: bpm"):
+            bin_records(records)
 
 
 class TestSegmentOf:
@@ -135,7 +148,7 @@ class TestBinRecords:
             for offset, bpm in zip(rng.integers(0, 300, size=count), rng.choice(pool, size=count)):
                 wall = datetime(2016, 4, day) + timedelta(seconds=segment * 300 + int(offset))
                 zone = ZONES[int(rng.integers(len(ZONES)))]
-                records.append(HeartRateRecord(person, wall.replace(tzinfo=zone), float(bpm)))
+                records.append((person, wall.replace(tzinfo=zone), float(bpm)))
         records = [records[i] for i in rng.permutation(len(records))]
         values, mask, labels = loop_bin_records(records)
         pdm = bin_records(iter(records))
@@ -170,14 +183,14 @@ class TestReadRecordsCsv:
             "p1,2016-04-01T00:00:05,63\n"
         )
         records = read_records_csv(path)
-        assert len(records) == 2
-        assert records[0].bpm == 62.0
+        assert records == [rec("p1", "2016-04-01T00:00:00", 62.0),
+                           rec("p1", "2016-04-01T00:00:05", 63.0)]
 
     def test_alternative_column_names(self, tmp_path):
         path = tmp_path / "hr.csv"
         path.write_text("Id,Time,Value\nu1,2016-04-01T08:00:00,71\n")
         records = read_records_csv(path, person_col="Id", time_col="Time", bpm_col="Value")
-        assert records[0].person_id == "u1"
+        assert records == [rec("u1", "2016-04-01T08:00:00", 71.0)]
 
     def test_missing_column(self, tmp_path):
         path = tmp_path / "hr.csv"
