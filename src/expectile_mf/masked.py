@@ -194,12 +194,16 @@ def write_matrix_csv(x: MaskedMatrix, path) -> None:
 
 @contextmanager
 def open_input(path):
-    """Open a UTF-8 text input; bytes that do not decode are a data error naming the file."""
+    """Open a UTF-8 text input; bytes that do not decode, and every ParseError
+    raised while it is open, are data errors naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
+    except ParseError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
 
 
 def read_matrix_csv(path) -> MaskedMatrix:
@@ -231,12 +235,12 @@ def read_matrix_csv(path) -> MaskedMatrix:
             values.append(vrow)
             mask.append(mrow)
             line_numbers.append(line_no)
-    if not values:
-        raise ParseError(0, "no matrix rows found")
-    arr = np.array(values)
-    # One vectorized pass; missing cells already hold 0.0.
-    bad = np.argwhere(~np.isfinite(arr))
-    if bad.size:
-        i, j = bad[0]
-        raise ParseError(line_numbers[i], f"column {j + 1}: non-finite value {float(arr[i, j])!r}")
+        if not values:
+            raise ParseError(0, "no matrix rows found")
+        arr = np.array(values)
+        # One vectorized pass; missing cells already hold 0.0.
+        bad = np.argwhere(~np.isfinite(arr))
+        if bad.size:
+            i, j = bad[0]
+            raise ParseError(line_numbers[i], f"column {j + 1}: non-finite value {float(arr[i, j])!r}")
     return MaskedMatrix(arr, np.array(mask))

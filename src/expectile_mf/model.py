@@ -112,6 +112,7 @@ class Objective:
         self.n, self.p, self.k = x.n_rows, x.n_cols, k
         self._values = np.where(x.mask, x.values, 0.0)
         self._mask = x.mask.astype(float)
+        self._counts = np.concatenate([self._mask.sum(axis=1), self._mask.sum(axis=0)])
         self._resid, self._wr, self._prod = (np.empty((self.n, self.p)) for _ in range(3))
         self._r1, self._1c = np.ones((self.n, 2)), np.ones((2, self.p))
         self._u0, self._v0 = np.zeros((self.n, 2)), np.zeros((2, self.p))
@@ -147,6 +148,22 @@ class Objective:
             ]
         )
         return loss, grad
+
+    def diagonal(self, vec) -> np.ndarray:
+        """Jacobi diagonal of the loss at vec, scaled by n_obs, in flat order.
+
+        Entries are each row's and column's observed count for r and c,
+        sum_j m_ij v_jl^2 for u_il and sum_i m_ij u_il^2 for v_jl: n_obs times
+        the Hessian diagonal at tau = 0.5, where every weight is 1/2 (other
+        levels weight each cell's term by 2 tau or 2 (1 - tau)). Entries are
+        floored at 1e-8 * max, so a row or column with no observed cells stays
+        positive. Costs two n x p matrix products and no n x p temporary.
+        """
+        _, _, u, v = _split(vec, self.n, self.p, self.k)
+        d = np.concatenate(
+            [self._counts, (self._mask @ (v * v)).ravel(), (self._mask.T @ (u * u)).ravel()]
+        )
+        return np.maximum(d, 1e-8 * d.max())
 
 
 def loss_and_gradient(model: FactorModel, x: MaskedMatrix, tau: float) -> LossValue:

@@ -2,8 +2,9 @@
 
 A fit seeds the additive terms with the row/column means of the normalized
 data, draws the factors from a standard normal stream, minimizes the
-asymmetric loss, canonicalizes the winner, and optionally fixes the rank-1
-sign at a pivot row. Sweeps over tau anchor at tau = 0.5 and warm-start the
+asymmetric loss (handing the optimizer the loss's Jacobi diagonal, which
+lbfgs uses to scale its steps), canonicalizes the winner, and optionally
+fixes the rank-1 sign at a pivot row. Sweeps over tau anchor at tau = 0.5 and warm-start the
 other levels from that solution.
 """
 
@@ -121,7 +122,8 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
             flatten(initial_model(row_means, col_means, k, child)) for child in children
         ]
 
-    results: list[OptimizeResult] = [minimize(objective, x0, config.opts) for x0 in starts]
+    opts = replace(config.opts, diagonal=objective.diagonal)
+    results: list[OptimizeResult] = [minimize(objective, x0, opts) for x0 in starts]
     losses = [res.final_loss for res in results]
     best = results[int(np.argmin(losses))]
 

@@ -6,7 +6,9 @@ bit-exact references for vectorized package code: where_loss_and_gradient
 (the fused loss kernel), loop_bin_records (the sorted record binning) and
 csv_writer_write_matrix (the row-format matrix CSV writer).
 full_matrix_bfgs_update and DenseBfgsRule are the dense reference that the
-package's two-loop bfgs rule must match to rounding. The last four helpers
+package's two-loop bfgs rule must match to rounding; ScalarLbfgsRule is the
+bit-exact reference for lbfgs from gamma*I, the form its diagonal scaling
+must reduce to at D = 1. The last four helpers
 are the gates' measuring tools: a central-difference gradient, the planted
 mean and noise level of a simulated matrix, and the loss-to-RMSE conversion.
 """
@@ -196,11 +198,11 @@ class DenseBfgsRule:
 
     c2 = 0.9
 
-    def __init__(self, dim):
+    def __init__(self, dim, diagonal=None):
         self.h = np.eye(dim)
         self.first_pair = True
 
-    def direction(self, g):
+    def direction(self, g, x):
         return -(self.h @ g)
 
     def reset(self):
@@ -216,6 +218,45 @@ class DenseBfgsRule:
         self.first_pair = False
         if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
             full_matrix_bfgs_update(self.h, s, y, sy)
+
+
+class ScalarLbfgsRule:
+    """Textbook L-BFGS direction rule: the ten newest pairs from gamma*I.
+
+    gamma = s'y / y'y of the newest pair (1 with no pairs); pairs with
+    s'y <= 1e-10 |s| |y| are skipped. Ignores any diagonal.
+    """
+
+    c2 = 0.9
+
+    def __init__(self, dim, diagonal=None):
+        self.pairs = []
+
+    def direction(self, g, x):
+        q = g.copy()
+        alphas = []
+        for s, y, rho in reversed(self.pairs):
+            a = rho * float(s @ q)
+            alphas.append(a)
+            q -= a * y
+        if self.pairs:
+            s, y, _ = self.pairs[-1]
+            q *= float(s @ y) / float(y @ y)
+        for (s, y, rho), a in zip(self.pairs, reversed(alphas)):
+            b = rho * float(y @ q)
+            q += (a - b) * s
+        return -q
+
+    def reset(self):
+        self.pairs = []
+
+    def first_step(self, f, g, dphi0):
+        return 1.0
+
+    def update(self, s, y, g, direction):
+        sy = float(s @ y)
+        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            self.pairs = (self.pairs + [(s, y, 1.0 / sy)])[-10:]
 
 
 def loop_bin_records(records):

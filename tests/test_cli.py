@@ -403,6 +403,26 @@ class TestExitCodes:
         assert run(["fit", "--input", bad, "--output", tmp_path / "model.json"]) == 2
         assert "line 2: column 2: non-finite value inf" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            (["fit", "--output", "model.json"], "1,2\n3,inf\n",
+             "line 2: column 2: non-finite value inf"),
+            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+             "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,70\np1,2016-04-01T00:05:30,0\n",
+             "line 3: bpm must be finite and positive, got 0.0"),
+            (["icc", "--out", "icc.json"], "a,1\nb,x\n", "line 2: bad value 'x'"),
+        ],
+        ids=["matrix", "records", "icc"],
+    )
+    def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
+        monkeypatch.chdir(tmp_path)
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        assert run(command[:1] + ["--input", bad] + command[1:]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert list(tmp_path.iterdir()) == [bad]
+
     def test_overflowing_std_is_two(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("1e308,-1e308\n1e308,-1e308\n")

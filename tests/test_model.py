@@ -208,9 +208,11 @@ class TestObjective:
         xn, info = normalize(sim.x)
         x = MaskedMatrix(np.where(xn.mask, xn.values, np.nan), xn.mask)
         x0 = flatten(initial_model(info.row_means, info.col_means, k, 1))
-        opts = OptimizeOptions(algorithm=algorithm, max_iters=100)
         for t in (0.1, 0.9):
-            fused = minimize(Objective(x, t, k), x0, opts)
+            # Both sides get the diagonal that pipeline.fit gives lbfgs.
+            objective = Objective(x, t, k)
+            opts = OptimizeOptions(algorithm=algorithm, max_iters=100, diagonal=objective.diagonal)
+            fused = minimize(objective, x0, opts)
             oracle = minimize(
                 lambda vec: where_loss_and_gradient(*_split(vec, n, p, k), x.values, x.mask, t),
                 x0,
@@ -220,6 +222,34 @@ class TestObjective:
             assert fused.iterations == oracle.iterations
             assert fused.function_evals == oracle.function_evals
             assert np.array_equal(fused.x_final, oracle.x_final)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_diagonal_is_scaled_hessian_diagonal(self, k, rng):
+        # At tau = 0.5 every weight is 1/2 and the loss is quadratic along
+        # each coordinate, so n_obs times the central second difference is
+        # the diagonal up to rounding. Row 2 has no observed cell: its r and
+        # u entries have zero curvature and must sit on the floor.
+        model, x = poisoned_instance(rng, 7, 9, k)
+        mask = x.mask.copy()
+        mask[2] = False
+        x = MaskedMatrix(np.where(mask, x.values, np.nan), mask)
+        objective = Objective(x, 0.5, k)
+        vec = flatten(model)
+        f0, step = objective(vec)[0], 1e-3
+        hess = np.empty(vec.size)
+        for i in range(vec.size):
+            e = np.zeros(vec.size)
+            e[i] = step
+            hess[i] = (objective(vec + e)[0] - 2.0 * f0 + objective(vec - e)[0]) / step**2
+        diag = objective.diagonal(vec)
+        n, p = x.n_rows, x.n_cols
+        empty = np.zeros((n + p) * (1 + k), dtype=bool)
+        empty[2] = True
+        empty[n + p + 2 * k : n + p + 3 * k] = True
+        assert np.all(hess[empty] == 0.0)
+        assert np.all(diag[empty] == 1e-8 * diag.max())
+        np.testing.assert_allclose(diag[~empty], x.observed_count() * hess[~empty], rtol=1e-6)
+        assert diag[0] == mask[0].sum() and diag[n] == mask[:, 0].sum()
 
     def test_reuse_leaks_no_state(self, rng):
         # At k = 1 the padded BLAS operands also carry state between calls.

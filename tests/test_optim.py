@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from expectile_mf import (
     ExpectileMFError,
+    FitConfig,
     Objective,
     OptimizeOptions,
     SimulationSpec,
@@ -12,7 +15,7 @@ from expectile_mf import (
     minimize,
     normalize,
 )
-from expectile_mf import optim
+from expectile_mf import optim, pipeline
 from expectile_mf.optim import (
     ALGORITHMS,
     STATUS_GRAD_TOL,
@@ -20,7 +23,12 @@ from expectile_mf.optim import (
     STATUS_MAX_ITERS,
     _two_loop,
 )
-from oracles import DenseBfgsRule, finite_difference_gradient, full_matrix_bfgs_update
+from oracles import (
+    DenseBfgsRule,
+    ScalarLbfgsRule,
+    finite_difference_gradient,
+    full_matrix_bfgs_update,
+)
 
 
 def quadratic(center):
@@ -188,7 +196,7 @@ class TestBfgsUpdate:
             kept.append(len(rule.pairs))
             g = rng.normal(size=dim)
             ref = -(oracle.h @ g)
-            assert np.abs(rule.direction(g) - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert np.abs(rule.direction(g, None) - ref).max() <= 1e-12 * np.abs(ref).max()
         # Pair 0 fails the curvature test when s'y <= 0; pair 15 always does.
         assert kept[15] == kept[14] and kept[20] == 20 - (not first_sy_positive)
         assert kept[21] == 0 and kept[-1] == 15
@@ -208,6 +216,88 @@ class TestBfgsUpdate:
         assert abs(two_loop.final_loss - dense.final_loss) <= 1e-10 * abs(dense.final_loss)
 
 
+def small_fit_problem(k=2, seed=5):
+    sim = generate(SimulationSpec(m=30, n=24, true_rank=2, sigma=0.1, na_portion=0.3, seed=seed))
+    xn, info = normalize(sim.x)
+    return xn, info, flatten(initial_model(info.row_means, info.col_means, k, 1))
+
+
+def iterates_of(objective, x0, opts):
+    iterates = []
+    res = minimize(objective, x0, opts, callback=iterates.append)
+    return res, iterates
+
+
+class TestScaledLbfgs:
+    def test_unit_diagonal_reproduces_scalar_gamma(self, monkeypatch):
+        # gamma * 1.0 is exact, so D = 1 (given or absent) must give the
+        # textbook gamma*I iterates bit for bit.
+        xn, _, x0 = small_fit_problem()
+        objective = Objective(xn, 0.3, 2)
+        opts = OptimizeOptions(algorithm="lbfgs", max_iters=60)
+        absent = iterates_of(objective, x0, opts)
+        ones = iterates_of(objective, x0, replace(opts, diagonal=np.ones_like))
+        monkeypatch.setitem(optim._RULES, "lbfgs", ScalarLbfgsRule)
+        textbook = iterates_of(objective, x0, opts)
+        assert textbook[0].status == STATUS_GRAD_TOL and len(textbook[1]) > optim._LBFGS_MEMORY
+        for res, iterates in (absent, ones):
+            assert res.function_evals == textbook[0].function_evals
+            assert len(iterates) == len(textbook[1])
+            assert all(np.array_equal(a, b) for a, b in zip(iterates, textbook[1]))
+
+    def test_direction_matches_dense_oracle(self, rng):
+        # 14 pairs into a memory of 10, one of them skipped for lack of
+        # curvature; D changes with x, so each direction needs its own H0.
+        dim = 20
+        weights = rng.uniform(0.1, 10.0, size=dim)
+
+        def diagonal(x):
+            return weights * (1.0 + x * x)
+
+        rule = optim._Lbfgs(dim, diagonal)
+        x = rng.normal(size=dim)
+        g = rng.normal(size=dim)
+        assert np.array_equal(rule.direction(g, x), -g)
+        for i in range(14):
+            if i == 6:
+                s, v = curvature_pair(rng, dim)
+                rule.update(s, v - float(v @ s) / float(s @ s) * s, None, None)
+            else:
+                rule.update(*curvature_pair(rng, dim), None, None)
+            x, g = rng.normal(size=dim), rng.normal(size=dim)
+            d_inv = 1.0 / diagonal(x)
+            s, y, _ = rule.pairs[-1]
+            h = np.diag(float(s @ y) / float(y @ (d_inv * y)) * d_inv)
+            for s, y, rho in rule.pairs:
+                full_matrix_bfgs_update(h, s, y, 1.0 / rho)
+            ref = -(h @ g)
+            assert np.abs(rule.direction(g, x) - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert len(rule.pairs) == 10
+
+    def test_fit_scales_lbfgs_only(self, monkeypatch):
+        # pipeline.fit hands the objective's diagonal to every algorithm;
+        # bfgs and cg must step exactly as they do without it.
+        xn, info, _ = small_fit_problem()
+        calls = []
+
+        def recording(objective, x0, opts=None, callback=None):
+            res, iterates = iterates_of(objective, x0, opts)
+            calls.append((objective, x0, opts, iterates))
+            return res
+
+        monkeypatch.setattr(pipeline, "minimize", recording)
+        for algorithm in ALGORITHMS:
+            config = FitConfig(tau=0.3, k=2, opts=OptimizeOptions(algorithm=algorithm, max_iters=60))
+            pipeline.fit(xn, info.row_means, info.col_means, config)
+            objective, x0, opts, iterates = calls[-1]
+            assert opts.diagonal == objective.diagonal
+            _, plain_iterates = iterates_of(objective, x0, replace(opts, diagonal=None))
+            same = len(iterates) == len(plain_iterates) and all(
+                np.array_equal(a, b) for a, b in zip(iterates, plain_iterates)
+            )
+            assert same == (algorithm != "lbfgs")
+
+
 class TestReset:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_non_descent_direction_restarts_from_steepest_descent(self, algorithm, monkeypatch):
@@ -217,9 +307,9 @@ class TestReset:
         direction, wolfe_search = rule_class.direction, optim._wolfe_search
         rules, searches = [], []
 
-        def uphill_once(self, g):
+        def uphill_once(self, g, x):
             rules.append(self)
-            d = direction(self, g)
+            d = direction(self, g, x)
             return g.copy() if len(rules) == 3 else d
 
         def recording_search(fg, x, d, f0, g0, *args):
