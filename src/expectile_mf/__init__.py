@@ -15,12 +15,7 @@ from .analysis import (
     init_resilience,
     rank_sweep,
 )
-from .errors import (
-    ExpectileMFError,
-    ParseError,
-    UnnormalizedDataWarning,
-    ZeroColumnWarning,
-)
+from .errors import ExpectileMFError, ParseError
 from .expectiles import check_tau, marginal_expectile_curves, scalar_expectile
 from .ingest import (
     PersonDayMatrix,

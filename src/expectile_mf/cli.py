@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .errors import ExpectileMFError, ParseError
 from .expectiles import check_tau, marginal_expectile_curves
-from .ingest import bin_records, filter_and_normalize, read_records_csv
+from .ingest import SEGMENTS_PER_DAY, bin_records, filter_and_normalize, read_records_csv
 from .masked import (
     NormalizationInfo,
     normalize,
@@ -45,7 +45,7 @@ from .pipeline import FitConfig, FitReport, fit, tau_sweep
 from .simulate import SimulationSpec, generate
 
 DEFAULT_SEED = 20160229
-ORIENT_PIVOT_288 = 72  # about six a.m. in a day of 288 five-minute segments
+ORIENT_PIVOT_288 = 72  # about six a.m. in a day of SEGMENTS_PER_DAY five-minute segments
 
 
 def _fmt(x) -> str:
@@ -194,8 +194,8 @@ def _prepare_fit_input(input_path, normalization_path):
 def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                 orient_pivot, warm=None) -> FitConfig:
     """FitConfig from the shared fit options, checked against the input's rows; a
-    rank-1 fit of 288 rows pivots on row 72."""
-    if orient_pivot is None and n_rows == 288 and rank == 1:
+    rank-1 fit of SEGMENTS_PER_DAY rows pivots on row ORIENT_PIVOT_288."""
+    if orient_pivot is None and n_rows == SEGMENTS_PER_DAY and rank == 1:
         orient_pivot = ORIENT_PIVOT_288
     config = FitConfig(
         tau=tau, k=rank,
@@ -344,10 +344,7 @@ def icc_cmd(input_path, out):
             if not np.isfinite(value):
                 raise ParseError(line_no, f"non-finite value {value!r}")
             values.append(value)
-    try:
         value = icc(values, groups)
-    except ExpectileMFError as exc:
-        raise ExpectileMFError(f"{input_path}: {exc}") from None
     _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": len(set(groups))})
     _manifest(out, "icc", [out])
     click.echo(f"icc {_fmt(value)}")

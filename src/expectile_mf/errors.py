@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class ExpectileMFError(Exception):
@@ -17,10 +17,3 @@ class ParseError(ExpectileMFError):
         self.line_number = line_number
         super().__init__(f"line {line_number}: {message}")
 
-
-class ZeroColumnWarning(UserWarning):
-    """A multiplicative-row column had (near-)zero norm and was left unscaled."""
-
-
-class UnnormalizedDataWarning(UserWarning):
-    """Data handed to the fit pipeline does not look normalized."""

@@ -102,7 +102,7 @@ def read_records_csv(
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
-            raise ExpectileMFError(f"{path} is empty")
+            raise ExpectileMFError("empty file")
         for col in (person_col, time_col, bpm_col):
             if col not in header:
                 raise ParseError(1, f"missing column {col!r} in header {header}")
@@ -124,8 +124,8 @@ def read_records_csv(
             if not (math.isfinite(bpm) and bpm > 0.0):
                 raise ParseError(line_no, f"bpm must be finite and positive, got {bpm}")
             records.append((row[person_at], ts, bpm))
-    if not records:
-        raise ExpectileMFError(f"{path} has a header but no records")
+        if not records:
+            raise ExpectileMFError("header but no records")
     return records
 
 

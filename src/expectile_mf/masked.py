@@ -63,13 +63,6 @@ class MaskedMatrix:
     def observed_values(self) -> np.ndarray:
         return self.values[self.mask]
 
-    @classmethod
-    def from_dense(cls, dense) -> "MaskedMatrix":
-        """Build from an array whose missing cells are NaN."""
-        arr = np.asarray(dense, dtype=float)
-        mask = ~np.isnan(arr)
-        return cls(np.where(mask, arr, 0.0), mask)
-
     def to_dense(self) -> np.ndarray:
         """Writable copy with NaN at unobserved cells."""
         return np.where(self.mask, self.values, np.nan)
@@ -194,14 +187,14 @@ def write_matrix_csv(x: MaskedMatrix, path) -> None:
 
 @contextmanager
 def open_input(path):
-    """Open a UTF-8 text input; bytes that do not decode, and every ParseError
+    """Open a UTF-8 text input; bytes that do not decode, and every data error
     raised while it is open, are data errors naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
-    except ParseError as exc:
+    except ExpectileMFError as exc:
         exc.args = (f"{path}: {exc}",)
         raise
 
@@ -236,7 +229,7 @@ def read_matrix_csv(path) -> MaskedMatrix:
             mask.append(mrow)
             line_numbers.append(line_no)
         if not values:
-            raise ParseError(0, "no matrix rows found")
+            raise ExpectileMFError("no matrix rows found")
         arr = np.array(values)
         # One vectorized pass; missing cells already hold 0.0.
         bad = np.argwhere(~np.isfinite(arr))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ExpectileMFError, ZeroColumnWarning
+from .errors import ExpectileMFError
 from .expectiles import check_tau
 from .masked import MaskedMatrix, NormalizationInfo, frozen_array
 
@@ -212,9 +212,7 @@ def canonicalize(model: FactorModel) -> FactorModel:
     for j in range(model.k):
         norm = float(np.linalg.norm(u[:, j]))
         if norm < ZERO_COLUMN_NORM:
-            warnings.warn(
-                f"u column {j} has norm {norm:.3g}; left unscaled", ZeroColumnWarning
-            )
+            warnings.warn(f"u column {j} has norm {norm:.3g}; left unscaled")
             continue
         u[:, j] /= norm
         v[:, j] *= norm

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ExpectileMFError, UnnormalizedDataWarning
+from .errors import ExpectileMFError
 from .expectiles import check_tau
 from .masked import MaskedMatrix, global_stats
 from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
@@ -86,8 +86,7 @@ def _warn_if_unnormalized(x: MaskedMatrix) -> None:
     if abs(mean) > _NORMALIZED_MEAN_SLACK or abs(std - 1.0) > _NORMALIZED_STD_SLACK:
         warnings.warn(
             f"data does not look normalized (mean {mean:.3g}, std {std:.3g}); "
-            "fitting proceeds on the given scale",
-            UnnormalizedDataWarning,
+            "fitting proceeds on the given scale"
         )
 
 

@@ -29,19 +29,15 @@ STREAM_NAMES = (
 
 @dataclass(frozen=True)
 class SimulationSpec:
-    """Dimensions, component scales, noise level, missingness, rank, seed.
+    """Dimensions, noise level, missingness, rank, seed.
 
-    Defaults are the benchmark configuration used throughout the study
-    harnesses: unit component scales, noise 0.3, 30 percent missing,
-    true rank 2.
+    Every planted component is drawn at unit scale. Defaults are the
+    benchmark configuration used throughout the study harnesses: noise 0.3,
+    30 percent missing, true rank 2.
     """
 
     m: int
     n: int
-    r_sd: float = 1.0
-    c_sd: float = 1.0
-    u_sd: float = 1.0
-    v_sd: float = 1.0
     sigma: float = 0.3
     na_portion: float = 0.3
     true_rank: int = 2
@@ -50,9 +46,6 @@ class SimulationSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-        for name in ("r_sd", "c_sd", "u_sd", "v_sd"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
         if not self.sigma >= 0.0:
             raise ValueError("sigma must be >= 0")
         if not 0.0 <= self.na_portion < 1.0:
@@ -82,10 +75,10 @@ def component_streams(seed) -> dict:
 def generate(spec: SimulationSpec) -> SimulatedData:
     """Draw a dataset; identical specs give bit-identical output."""
     streams = component_streams(spec.seed)
-    true_r = streams["row_effects"].normal(0.0, spec.r_sd, spec.m)
-    true_c = streams["col_effects"].normal(0.0, spec.c_sd, spec.n)
-    true_u = streams["row_factors"].normal(0.0, spec.u_sd, (spec.m, spec.true_rank))
-    true_v = streams["col_factors"].normal(0.0, spec.v_sd, (spec.n, spec.true_rank))
+    true_r = streams["row_effects"].standard_normal(spec.m)
+    true_c = streams["col_effects"].standard_normal(spec.n)
+    true_u = streams["row_factors"].standard_normal((spec.m, spec.true_rank))
+    true_v = streams["col_factors"].standard_normal((spec.n, spec.true_rank))
     mu = true_r[:, None] + true_c[None, :] + true_u @ true_v.T
     x_full = mu + spec.sigma * streams["noise"].standard_normal((spec.m, spec.n))
     missing = streams["mask"].random((spec.m, spec.n)) < spec.na_portion

@@ -412,8 +412,12 @@ class TestExitCodes:
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,70\np1,2016-04-01T00:05:30,0\n",
              "line 3: bpm must be finite and positive, got 0.0"),
             (["icc", "--out", "icc.json"], "a,1\nb,x\n", "line 2: bad value 'x'"),
+            (["fit", "--output", "model.json"], "", "no matrix rows found"),
+            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"], "", "empty file"),
+            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+             "person_id,timestamp,bpm\n", "header but no records"),
         ],
-        ids=["matrix", "records", "icc"],
+        ids=["matrix", "records", "icc", "matrix-empty", "records-empty", "records-header-only"],
     )
     def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)

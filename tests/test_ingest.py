@@ -235,7 +235,7 @@ class TestReadRecordsCsv:
     def test_header_only(self, tmp_path):
         path = tmp_path / "hr.csv"
         path.write_text("person_id,timestamp,bpm\n")
-        with pytest.raises(ExpectileMFError, match="hr.csv has a header but no records$"):
+        with pytest.raises(ExpectileMFError, match="hr.csv: header but no records$"):
             read_records_csv(path)
 
 

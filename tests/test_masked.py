@@ -19,6 +19,7 @@ from expectile_mf import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from conftest import FINITE
 from oracles import csv_writer_write_matrix, loop_masked_stats
 
 FIXTURE_VALUES = [
@@ -36,13 +37,6 @@ FIXTURE_MASK = [
 # frozen from the scalar-loop oracle over the 11 observed cells
 FIXTURE_MEAN = 2.0454545454545454
 FIXTURE_STD = 2.158014085539858
-
-
-# any finite float, with signed zero, subnormals and the largest magnitudes made likely
-FINITE = st.one_of(
-    st.sampled_from([-0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308]),
-    st.floats(allow_nan=False, allow_infinity=False),
-)
 
 
 def random_masked(rng, n=10, p=10, missing=0.3):
@@ -65,10 +59,8 @@ class TestMaskedMatrix:
         assert x.observed_count() == 11
         assert x.observed_values().size == 11
 
-    def test_from_dense_round_trip(self):
-        dense = np.array([[1.0, np.nan], [np.nan, 4.0]])
-        x = MaskedMatrix.from_dense(dense)
-        assert x.mask.tolist() == [[True, False], [False, True]]
+    def test_to_dense_puts_nan_at_unobserved_cells(self):
+        x = MaskedMatrix([[1.0, 0.0], [0.0, 4.0]], [[True, False], [False, True]])
         back = x.to_dense()
         assert np.isnan(back[0, 1]) and back[1, 1] == 4.0
 
@@ -79,10 +71,6 @@ class TestMaskedMatrix:
         values[2, 0] = bad
         with pytest.raises(ExpectileMFError, match=r"^observed cell \(1, 2\) is"):
             MaskedMatrix(values, np.ones((3, 4), dtype=bool))
-
-    def test_from_dense_rejects_infinity(self):
-        with pytest.raises(ExpectileMFError, match=r"^observed cell \(0, 1\) is -inf"):
-            MaskedMatrix.from_dense([[1.0, -np.inf], [np.nan, 2.0]])
 
     def test_non_finite_unobserved_cell_accepted(self):
         values = np.array([[1.0, np.inf], [np.nan, 2.0]])

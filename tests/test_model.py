@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from expectile_mf import (
     ExpectileMFError,
@@ -12,7 +13,6 @@ from expectile_mf import (
     Objective,
     OptimizeOptions,
     SimulationSpec,
-    ZeroColumnWarning,
     canonicalize,
     fitted_matrix,
     flatten,
@@ -26,6 +26,7 @@ from expectile_mf import (
 )
 from expectile_mf.masked import NormalizationInfo
 from expectile_mf.model import _split, model_from_dict, model_to_dict
+from conftest import FINITE
 from oracles import finite_difference_gradient, loop_loss_and_gradient, where_loss_and_gradient
 
 
@@ -332,7 +333,7 @@ class TestCanonicalize:
         m = FactorModel(
             np.zeros(2), np.zeros(2), np.zeros((2, 1)), np.array([[1.0], [3.0]])
         )
-        with pytest.warns(ZeroColumnWarning):
+        with pytest.warns(UserWarning, match=r"^u column 0 has norm 0; left unscaled$"):
             out = canonicalize(m)
         assert np.array_equal(out.u, np.zeros((2, 1)))
 
@@ -384,6 +385,32 @@ class TestModelJson:
         assert np.array_equal(back.u, m.u)
         assert back_info.std == info.std
         np.testing.assert_array_equal(back_info.row_means, info.row_means)
+
+    @given(data=st.data())
+    def test_round_trip_bit_exact(self, data):
+        n, p, k = (data.draw(st.integers(1, 6)) for _ in range(3))
+        model = FactorModel(*(data.draw(arrays(np.float64, shape, elements=FINITE))
+                              for shape in ((n,), (p,), (n, k), (p, k))))
+        tau = data.draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        info = data.draw(st.none() | st.builds(
+            NormalizationInfo,
+            mean=FINITE,
+            std=st.sampled_from([5e-324, 1.7976931348623157e308])
+            | st.floats(0.0, exclude_min=True, allow_infinity=False),
+            row_means=arrays(np.float64, (n,), elements=FINITE),
+            col_means=arrays(np.float64, (p,), elements=FINITE),
+        ))
+        back, back_tau, back_info = json_round_trip(model, tau, info)
+        for name in "rcuv":
+            a, b = getattr(model, name), getattr(back, name)
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert repr(back_tau) == repr(tau)
+        if info is None:
+            assert back_info is None
+        else:
+            for name in ("mean", "std", "row_means", "col_means"):
+                a, b = (np.asarray(getattr(i, name), dtype=float) for i in (info, back_info))
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_round_trip_loss_exact(self, rng):
         model, x = random_instance(rng)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from expectile_mf import (
     FitConfig,
     MaskedMatrix,
     OptimizeOptions,
-    UnnormalizedDataWarning,
     fit,
     fitted_matrix,
     initial_model,
@@ -17,6 +18,7 @@ from expectile_mf import (
 )
 from expectile_mf import pipeline
 from expectile_mf.simulate import SimulationSpec, generate
+from oracles import mean_matrix
 
 
 def small_normalized_data(seed=0, m=30, n=24, true_rank=1, sigma=0.05, na=0.2):
@@ -137,7 +139,7 @@ class TestFit:
     def test_unnormalized_data_warns_but_fits(self):
         x = exact_rank1_matrix()
         shifted = MaskedMatrix(x.values * 10.0 + 5.0, x.mask)
-        with pytest.warns(UnnormalizedDataWarning):
+        with pytest.warns(UserWarning, match=r"^data does not look normalized \(mean "):
             report = fit(shifted, masked_row_means(shifted), masked_col_means(shifted),
                          FitConfig(tau=0.5, k=1, seed=0))
         assert report.final_loss < 1e-6
@@ -195,3 +197,81 @@ class TestTauSweep:
         xn, info = small_normalized_data(seed=11)
         with pytest.raises(ValueError):
             tau_sweep(xn, info.row_means, info.col_means, FitConfig(), [])
+
+
+def normal_expectile(tau):
+    """tau-expectile e of the standard normal: the root of
+    tau * E[(Z - e)+] = (1 - tau) * E[(e - Z)+], with E[(Z - e)+] = phi(e) - e (1 - Phi(e))
+    and E[(e - Z)+] = e Phi(e) + phi(e); the difference falls in e, so bisect."""
+    def excess(e):
+        pdf = math.exp(-0.5 * e * e) / math.sqrt(2.0 * math.pi)
+        cdf = 0.5 * (1.0 + math.erf(e / math.sqrt(2.0)))
+        return tau * (pdf - e * (1.0 - cdf)) - (1.0 - tau) * (e * cdf + pdf)
+    lo, hi = -10.0, 10.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if excess(mid) > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+class TestPlantedRecovery:
+    """A fit at the true rank recovers the planted tau-expectile surface and column subspace.
+
+    The data are BENCH_SPEC's (200x200, 30% missing, rank 2, Gaussian noise
+    sigma = 0.3). Cell (i, j) is mu_ij + sigma Z, so its tau-expectile is
+    mu_ij + sigma e_tau, a surface of the fitted form (the shift joins the
+    additive terms). Both bounds were fixed from the theory below before the
+    test was first run.
+
+    RMS bound. The model has d = (n + p)(k + 1) parameters fit to n_obs cells.
+    For least squares (tau = 0.5) the fitted surface is, to first order, the
+    truth plus the projection of the noise onto a d-dimensional tangent space,
+    so its mean squared error over the observed cells is sigma^2 d / n_obs.
+    MCAR holes make unobserved cells exchangeable with observed ones, so the
+    same scale holds there. For an expectile the sandwich variance multiplies
+    this by eta_tau = E[w^2 (Z - e_tau)^2] / E[w]^2, with w = tau above e_tau
+    and 1 - tau below; eta = 1 at tau = 0.5 and 1.51 at tau = 0.1 and 0.9, so
+    the RMS should be about 1.0 and 1.23 times the scale
+    s = sigma sqrt(d / n_obs) (0.062 here). d overcounts (the factorization has
+    k^2 + 2k + 1 gauge directions), so c = 2 leaves room for finite-sample and
+    optimizer error but not for a wrong surface: an error of sigma |e_0.1| =
+    0.26 in the shift alone would be 4 s.
+
+    Angle bound. Each column j of v is regressed on u over its ~(1 - 0.3) n =
+    140 observed cells, and u's entries have unit variance, so each entry of
+    v-hat errs by about sqrt(eta) sigma / sqrt(140) = 0.031. The sine of the
+    largest principal angle is about the spectral norm of the error's part
+    orthogonal to span(v), ~0.031 (sqrt(p) + sqrt(k)) = 0.48, over the least
+    singular value of the centered v, ~sqrt(p) - sqrt(k) = 12.7: about 0.04.
+    The bound 0.1 allows 2.5 times that, while a fit that missed one planted
+    direction would read a sine near 1.
+    """
+
+    C_RMS = 2.0
+    MAX_SINE = 0.1
+
+    @pytest.mark.parametrize("data_seed", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0.1, 0.5, 0.9])
+    def test_surface_and_subspace(self, tau, data_seed):
+        spec = SimulationSpec(m=200, n=200, sigma=0.3, na_portion=0.3, true_rank=2,
+                              seed=data_seed)
+        sim = generate(spec)
+        xn, info = normalize(sim.x)
+        report = fit(xn, info.row_means, info.col_means,
+                     FitConfig(tau=tau, k=spec.true_rank, seed=1))
+        fitted = fitted_matrix(report.model) * info.std + info.mean
+        error = fitted - (mean_matrix(sim) + spec.sigma * normal_expectile(tau))
+        mask = sim.x.mask
+        n_obs = int(mask.sum())
+        scale = spec.sigma * math.sqrt((spec.m + spec.n) * (spec.true_rank + 1) / n_obs)
+        for cells, where in ((mask, "observed"), (~mask, "unobserved")):
+            rms = float(np.sqrt(np.mean(error[cells] ** 2)))
+            assert rms <= self.C_RMS * scale, (
+                f"{where} RMS {rms:.4g} = {rms / scale:.3g} x scale {scale:.4g} "
+                f"({report.status}, {report.iterations} iterations)")
+
+        true_basis = np.linalg.qr(sim.true_v - sim.true_v.mean(axis=0))[0]
+        fit_basis = np.linalg.qr(report.model.v)[0]
+        sine = np.linalg.norm(fit_basis - true_basis @ (true_basis.T @ fit_basis), 2)
+        assert sine < self.MAX_SINE, f"sine of the largest principal angle {sine:.4g}"
+

@@ -9,7 +9,6 @@ from oracles import mean_matrix, residual_noise_std
 class TestSpecValidation:
     def test_defaults_are_benchmark_configuration(self):
         spec = SimulationSpec(m=200, n=200)
-        assert (spec.r_sd, spec.c_sd, spec.u_sd, spec.v_sd) == (1.0, 1.0, 1.0, 1.0)
         assert spec.sigma == 0.3
         assert spec.na_portion == 0.3
         assert spec.true_rank == 2
@@ -18,12 +17,12 @@ class TestSpecValidation:
         "kwargs",
         [
             {"m": 0, "n": 5},
-            {"m": 5, "n": 5, "r_sd": 0.0},
+            {"m": 5, "n": 0},
             {"m": 5, "n": 5, "sigma": -1.0},
             {"m": 5, "n": 5, "na_portion": 1.0},
             {"m": 5, "n": 5, "true_rank": 0},
             {"m": 5, "n": 5, "sigma": float("nan")},
-            {"m": 5, "n": 5, "u_sd": float("nan")},
+            {"m": 5, "n": 5, "na_portion": -0.1},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
@@ -64,13 +63,13 @@ class TestGenerate:
         assert abs(frac - 0.7) < 0.01
 
     def test_component_stds_within_three_percent(self):
-        # each component checked where it has >= 10^4 draws
-        tall = generate(SimulationSpec(m=10_000, n=40, r_sd=2.0, u_sd=1.5, sigma=0.4, seed=4))
-        assert abs(np.std(tall.true_r) / 2.0 - 1.0) < 0.03
-        assert abs(np.std(tall.true_u) / 1.5 - 1.0) < 0.03
-        wide = generate(SimulationSpec(m=40, n=10_000, c_sd=0.5, v_sd=0.8, sigma=0.4, seed=4))
-        assert abs(np.std(wide.true_c) / 0.5 - 1.0) < 0.03
-        assert abs(np.std(wide.true_v) / 0.8 - 1.0) < 0.03
+        # each planted component is drawn at unit scale; checked where it has >= 10^4 draws
+        tall = generate(SimulationSpec(m=10_000, n=40, sigma=0.4, seed=4))
+        assert abs(np.std(tall.true_r) - 1.0) < 0.03
+        assert abs(np.std(tall.true_u) - 1.0) < 0.03
+        wide = generate(SimulationSpec(m=40, n=10_000, sigma=0.4, seed=4))
+        assert abs(np.std(wide.true_c) - 1.0) < 0.03
+        assert abs(np.std(wide.true_v) - 1.0) < 0.03
         noise = tall.x.values - mean_matrix(tall)
         assert abs(np.std(noise[tall.x.mask]) / 0.4 - 1.0) < 0.03
 
