@@ -11,6 +11,7 @@ seed and the input files. Exit codes: 0 success, 1 usage error,
 
 from __future__ import annotations
 
+import csv
 import json
 import sys
 import time
@@ -54,9 +55,9 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([c if isinstance(c, (str, int)) else _fmt(c) for c in row] for row in rows)
 
 
 def _write_records(path, records) -> None:
@@ -107,15 +108,6 @@ def _parse_algorithms(text) -> list[str]:
         if algo not in ALGORITHMS:
             raise click.UsageError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
     return algos
-
-
-def _load_json(path, parse):
-    """Return parse(document) of a JSON input file; a malformed one is a data error naming it."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse(json.load(fh))
-    except (KeyError, TypeError, ValueError, ExpectileMFError) as exc:
-        raise ExpectileMFError(f"{path}: {type(exc).__name__}: {exc}") from None
 
 
 def _with_options(options):
@@ -183,27 +175,26 @@ def _prepare_fit_input(input_path, normalization_path):
     x = read_matrix_csv(input_path)
     if normalization_path is None:
         return normalize(x)
-    info = _load_json(normalization_path, NormalizationInfo.from_dict)
-    if (info.row_means.size, info.col_means.size) != (x.n_rows, x.n_cols):
-        raise ExpectileMFError(
-            f"{normalization_path}: {info.row_means.size} row and {info.col_means.size} "
-            f"column means for a {x.n_rows}x{x.n_cols} matrix")
+    with open_input(normalization_path) as fh:
+        info = NormalizationInfo.from_dict(json.load(fh))
+        if (info.row_means.size, info.col_means.size) != (x.n_rows, x.n_cols):
+            raise ExpectileMFError(
+                f"{info.row_means.size} row and {info.col_means.size} "
+                f"column means for a {x.n_rows}x{x.n_cols} matrix")
     return x, info
 
 
 def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                 orient_pivot, warm=None) -> FitConfig:
-    """FitConfig from the shared fit options, checked against the input's rows; a
-    rank-1 fit of SEGMENTS_PER_DAY rows pivots on row ORIENT_PIVOT_288."""
+    """FitConfig from the shared fit options; a rank-1 fit of SEGMENTS_PER_DAY
+    rows pivots on row ORIENT_PIVOT_288."""
     if orient_pivot is None and n_rows == SEGMENTS_PER_DAY and rank == 1:
         orient_pivot = ORIENT_PIVOT_288
-    config = FitConfig(
+    return FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
         n_restarts=restarts, seed=seed, orient_pivot=orient_pivot, warm_start=warm,
     )
-    config.check_pivot(n_rows)
-    return config
 
 
 def _write_fit(model_path, report_path, tau, report: FitReport, info) -> list[Path]:
@@ -242,11 +233,12 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
     x, info = _prepare_fit_input(input_path, normalization_path)
     warm = None
     if warm_start_path is not None:
-        warm, _, _ = _load_json(warm_start_path, model_from_dict)
-        if (warm.n, warm.p, warm.k) != (x.n_rows, x.n_cols, rank):
-            raise ExpectileMFError(
-                f"{warm_start_path}: warm start is ({warm.n}, {warm.p}, {warm.k}), "
-                f"expected ({x.n_rows}, {x.n_cols}, {rank})")
+        with open_input(warm_start_path) as fh:
+            warm, _, _ = model_from_dict(json.load(fh))
+            if (warm.n, warm.p, warm.k) != (x.n_rows, x.n_cols, rank):
+                raise ExpectileMFError(
+                    f"warm start is ({warm.n}, {warm.p}, {warm.k}), "
+                    f"expected ({x.n_rows}, {x.n_cols}, {rank})")
     config = _fit_config(x.n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot, warm)
     report = fit(x, info.row_means, info.col_means, config)
@@ -274,8 +266,9 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
     out_dir = Path(output_dir)
-    # Options are checked above and the directory is made before any fit, so a bad option or
-    # path writes nothing; no file is written until the last fit, so a failed fit removes `made`.
+    # The directory is made before any fit, so a bad path fails at once. No file is written
+    # until the last fit, so a failed fit, or a pivot out of range that the first fit rejects
+    # before optimizing, removes `made` and leaves nothing behind.
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -329,20 +322,20 @@ def icc_cmd(input_path, out):
     """Between-group share of variance for grouped values."""
     groups, values = [], []
     with open_input(input_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
+        reader = csv.reader(fh)
+        for row in reader:
+            fields = [field.strip() for field in row]
+            if fields in ([], [""]):
                 continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise ParseError(line_no, "expected 'group_id,value'")
-            groups.append(parts[0])
+            if len(fields) != 2:
+                raise ParseError(reader.line_num, "expected 'group_id,value'")
+            groups.append(fields[0])
             try:
-                value = float(parts[1])
+                value = float(fields[1])
             except ValueError:
-                raise ParseError(line_no, f"bad value {parts[1]!r}") from None
+                raise ParseError(reader.line_num, f"bad value {fields[1]!r}") from None
             if not np.isfinite(value):
-                raise ParseError(line_no, f"non-finite value {value!r}")
+                raise ParseError(reader.line_num, f"non-finite value {value!r}")
             values.append(value)
         value = icc(values, groups)
     _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": len(set(groups))})
@@ -382,12 +375,11 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
 @click.option("--out", type=click.Path(), required=True)
 def band_curves_cmd(model_path, out):
     """Lower/center/upper day curves from a rank-1 model (long CSV: x, series, value)."""
-    model, _, info = _load_json(model_path, model_from_dict)
-    if info is None:
-        raise ExpectileMFError(f"{model_path}: carries no normalization info")
-    if model.k != 1:
-        raise ExpectileMFError(f"{model_path}: band curves require k = 1, got k = {model.k}")
-    lower, center, upper = band_curves(model, info)
+    with open_input(model_path) as fh:
+        model, _, info = model_from_dict(json.load(fh))
+        if info is None:
+            raise ExpectileMFError("carries no normalization info")
+        lower, center, upper = band_curves(model, info)
     rows = []
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):
         rows += [[i, name, curve[i]] for i in range(curve.size)]

@@ -88,6 +88,8 @@ class NormalizationInfo:
             raise ValueError(f"std must be positive, got {self.std}")
         for name in ("row_means", "col_means"):
             means = frozen_array(getattr(self, name), float)
+            if means.ndim != 1:
+                raise ValueError(f"{name} must be 1-D, got shape {means.shape}")
             if not np.isfinite(means).all():
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, means)
@@ -187,13 +189,19 @@ def write_matrix_csv(x: MaskedMatrix, path) -> None:
 
 @contextmanager
 def open_input(path):
-    """Open a UTF-8 text input; bytes that do not decode, and every data error
-    raised while it is open, are data errors naming the file."""
+    """Open a UTF-8 text input, CSV or JSON. Bytes that do not decode, a CSV
+    record the csv module rejects, a document's KeyError, TypeError or
+    ValueError, and every data error raised while it is open, are data errors
+    naming the file."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             yield fh
     except UnicodeDecodeError as exc:
         raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise ExpectileMFError(f"{path}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ExpectileMFError(f"{path}: {type(exc).__name__}: {exc}") from None
     except ExpectileMFError as exc:
         exc.args = (f"{path}: {exc}",)
         raise

@@ -47,11 +47,6 @@ class FitConfig:
         if self.orient_pivot is not None and self.k != 1:
             raise ValueError(f"orient_pivot applies only to k = 1, got k = {self.k}")
 
-    def check_pivot(self, n_rows: int) -> None:
-        """ValueError unless orient_pivot is None or names one of n_rows rows."""
-        if self.orient_pivot is not None and not 0 <= self.orient_pivot < n_rows:
-            raise ValueError(f"orient_pivot {self.orient_pivot} out of range for {n_rows} rows")
-
 
 @dataclass
 class FitReport:
@@ -98,7 +93,8 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     are chosen by final loss with ties broken by restart index.
     """
     n, p, k = x.n_rows, x.n_cols, config.k
-    config.check_pivot(n)
+    if config.orient_pivot is not None and not 0 <= config.orient_pivot < n:
+        raise ValueError(f"orient_pivot {config.orient_pivot} out of range for {n} rows")
     _warn_if_unnormalized(x)
     row_means = np.asarray(row_means, dtype=float)
     col_means = np.asarray(col_means, dtype=float)

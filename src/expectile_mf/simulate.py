@@ -46,8 +46,8 @@ class SimulationSpec:
     def __post_init__(self):
         if self.m < 1 or self.n < 1:
             raise ValueError("m and n must be positive")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        if not 0.0 <= self.sigma < np.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.na_portion < 1.0:
             raise ValueError("na_portion must be in [0, 1)")
         if self.true_rank < 1:

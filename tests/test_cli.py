@@ -1,3 +1,4 @@
+import csv
 import json
 from pathlib import Path
 
@@ -21,14 +22,15 @@ def run(argv):
     return main([str(a) for a in argv])
 
 
-def write_records(path):
+def write_records(path, person_field="p1"):
     """Heart-rate records CSV: one person, two days, every other five-minute segment."""
     rows = ["person_id,timestamp,bpm"]
     rng = np.random.default_rng(0)
     for day in (1, 2):
         for seg in range(0, 288, 2):
             h, m = divmod(seg * 5, 60)
-            rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m:02d}:30,{60 + rng.integers(0, 40)}")
+            rows.append(f"{person_field},2016-04-{day:02d}T{h:02d}:{m:02d}:30,"
+                        f"{60 + rng.integers(0, 40)}")
     Path(path).write_text("\n".join(rows) + "\n")
 
 
@@ -228,6 +230,17 @@ class TestIccCommand:
         assert f"{data}: need at least 2 distinct groups, got {n_groups}" in capsys.readouterr().err
         assert not out.exists()
 
+    # group ids are CSV fields: quoted ones may hold a comma, and surrounding whitespace is
+    # not part of the id
+    @pytest.mark.parametrize("text", ['"Smith, J",1\n"Smith, J",1\n"Doe, A",2\n"Doe, A",2\n',
+                                      " a ,1\na,1\n\n  \nb ,2\nb,2\n"],
+                             ids=["quoted-comma", "whitespace"])
+    def test_group_ids_are_csv_fields(self, tmp_path, text):
+        data = tmp_path / "grouped.csv"
+        data.write_text(text)
+        out = tmp_path / "icc.json"
+        assert run(["icc", "--input", data, "--out", out]) == 0
+        assert json.loads(out.read_text()) == {"icc": 1.0, "n_values": 4, "n_groups": 2}
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_value_is_two_naming_line(self, tmp_path, capsys, cell):
@@ -254,6 +267,17 @@ class TestIngestCommand:
         label_lines = labels.read_text().splitlines()
         assert label_lines[0] == "column_index,person_id,date"
         assert len(label_lines) == 3
+
+    def test_labels_quote_a_person_id_with_a_comma(self, tmp_path):
+        records = tmp_path / "hr.csv"
+        write_records(records, person_field='"Smith, J"')
+        labels = tmp_path / "labels.csv"
+        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+                    "--labels", labels]) == 0
+        with open(labels, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["column_index", "person_id", "date"], ["0", "Smith, J", "2016-04-01"],
+                        ["1", "Smith, J", "2016-04-02"]]
 
 
 class TestBandCurvesCommand:
@@ -416,8 +440,14 @@ class TestExitCodes:
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"], "", "empty file"),
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\n", "header but no records"),
+            (["fit", "--output", "model.json"], "1,2\n3," + "4" * 131_073 + "\n",
+             "field larger than field limit (131072)"),
+            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+             "person_id,timestamp,bpm\np1,2016-04-01T00:00:30," + "7" * 131_073 + "\n",
+             "field larger than field limit (131072)"),
         ],
-        ids=["matrix", "records", "icc", "matrix-empty", "records-empty", "records-header-only"],
+        ids=["matrix", "records", "icc", "matrix-empty", "records-empty", "records-header-only",
+             "matrix-field-limit", "records-field-limit"],
     )
     def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)
@@ -485,12 +515,14 @@ class TestExitCodes:
              "orient_pivot -1 out of range for 30 rows"),
             (["tau-sweep", "--input", "X.csv", "--taus", "0.5,1.5", "--output-dir", "out"],
              "tau must be in (0, 1), got 1.5"),
+            (["simulate", "--rows", 5, "--cols", 5, "--sigma", "inf", "--out", "out.csv"],
+             "sigma must be finite and >= 0, got inf"),
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
              "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
              "rank-sweep-repeated-algorithms", "resilience", "expectiles",
              "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
-             "tau-sweep-tau"],
+             "tau-sweep-tau", "simulate-sigma-inf"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -525,12 +557,14 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({**m, "n": m["n"] + 0.9})),
             ("--model", lambda m: json.dumps({**m, "k": True})),
             ("--warm-start", lambda m: json.dumps({**m, "p": str(m["p"])})),
+            ("--normalization", lambda m: json.dumps(
+                {**m["normalization"], "row_means": [m["normalization"]["row_means"]]})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
              "model-n-negative", "sidecar-col-means-short", "warm-start-rank-2",
              "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
-             "model-k-true", "warm-start-p-string"],
+             "model-k-true", "warm-start-p-string", "sidecar-row-means-nested"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"
@@ -562,13 +596,16 @@ class TestExitCodes:
                         "--max-iters", 5, "--output-dir", sweep_dir]) == 0
             assert read_manifest(sweep_dir / "sweep_summary.csv")["config"]["orient_pivot"] == pivot
 
-    @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest"])
+    @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest", "normalization"])
     def test_non_utf8_input_is_two_naming_file(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2\n3,\xff\n")
+        good = tmp_path / "good.csv"
+        good.write_text("1,2\n3,4\n")
         out = tmp_path / "out"
         argv = {
             "fit": ["fit", "--input", bad, "--output", out],
+            "normalization": ["fit", "--input", good, "--normalization", bad, "--output", out],
             "expectiles": ["expectiles", "--input", bad, "--out", out],
             "icc": ["icc", "--input", bad, "--out", out],
             "ingest": ["ingest", "--input", bad, "--output", out, "--labels", tmp_path / "l.csv"],

@@ -1,9 +1,12 @@
+import csv
+import io
+import math
 import warnings
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expectile_mf import (
@@ -38,6 +41,27 @@ CELL = st.tuples(
 
 
 BAD_BPM = [0.0, -5.0, float("nan"), float("inf")]
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=12)
+# a records-file row: free text, a row of any width, or (most often) person, timestamp and
+# bpm fields, each valid, malformed or CSV-special
+FIELD = st.one_of(TEXT, st.sampled_from(["p1", "", " ", '"', '"a,b"', "\r", "\x00", "\n"]))
+TIME = st.one_of(st.sampled_from([
+    "2016-04-01T00:00:30", "2016-04-01T23:59:59+14:00", "2016-04-01 10:00:00Z", " 2016-04-01",
+    "2016-02-30T00:00:00", "2016-04-01T24:00:00"]), FIELD)
+BPM_TEXT = st.one_of(st.sampled_from(["70", "1e999", "nan", "-3", "0", "7_0", " 70 "]), FIELD)
+ROW = st.one_of(
+    st.tuples(FIELD, TIME, BPM_TEXT).map(",".join),
+    TEXT,
+    st.lists(FIELD, max_size=5).map(",".join),
+)
+# wall-clock times a few seconds apart share a cell; a day or two apart they do not
+WHEN = st.one_of(
+    st.datetimes(datetime(2016, 4, 1, 10), datetime(2016, 4, 1, 10, 10),
+                 timezones=st.sampled_from(ZONES)),
+    st.datetimes(datetime(2016, 3, 31), datetime(2016, 4, 2), timezones=st.sampled_from(ZONES)),
+)
+RECORD = st.tuples(st.one_of(st.sampled_from(["p1", "Smith, J", ' "q" ']), TEXT), WHEN, BPM)
 
 
 class TestRecordValidation:
@@ -237,6 +261,46 @@ class TestReadRecordsCsv:
         path.write_text("person_id,timestamp,bpm\n")
         with pytest.raises(ExpectileMFError, match="hr.csv: header but no records$"):
             read_records_csv(path)
+
+
+class TestRecordsFuzz:
+    """The records path, read_records_csv then bin_records, on generated input."""
+
+    @settings(max_examples=500)
+    @given(header=st.one_of(st.just("person_id,timestamp,bpm"), ROW),
+           rows=st.lists(ROW, max_size=6), tail=st.binary(max_size=4))
+    def test_any_text_reads_or_raises_a_data_error(self, tmp_path_factory, header, rows, tail):
+        path = tmp_path_factory.getbasetemp() / "fuzz_records.csv"
+        path.write_bytes("\n".join([header, *rows]).encode("utf-8") + tail)
+        try:
+            records = read_records_csv(path)
+        except ExpectileMFError:
+            return
+        assert records
+        for person_id, ts, bpm in records:
+            assert isinstance(person_id, str) and isinstance(ts, datetime)
+            assert math.isfinite(bpm) and bpm > 0.0
+
+    @given(records=st.lists(RECORD, min_size=1, max_size=30), data=st.data())
+    def test_valid_records_bin_alike_in_any_order(self, tmp_path_factory, records, data):
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(["person_id", "timestamp", "bpm"])
+        writer.writerows([person_id, ts.isoformat(), repr(bpm)] for person_id, ts, bpm in records)
+        path = tmp_path_factory.getbasetemp() / "valid_records.csv"
+        path.write_text(text.getvalue(), encoding="utf-8", newline="")
+        read = read_records_csv(path)
+        assert read == records
+        pdm = bin_records(read)
+        shuffled = bin_records(data.draw(st.permutations(read)))
+        values, mask, labels = loop_bin_records(read)
+        for other_labels, other_values, other_mask in [
+            (shuffled.column_labels, shuffled.matrix.values, shuffled.matrix.mask),
+            (labels, values, mask),
+        ]:
+            assert pdm.column_labels == other_labels
+            assert np.array_equal(pdm.matrix.mask, other_mask)
+            assert np.array_equal(pdm.matrix.values, other_values)
 
 
 class TestFilterAndNormalize:

@@ -121,6 +121,12 @@ class TestGlobalStats:
         with pytest.raises(ValueError):
             NormalizationInfo(mean=mean, std=std, row_means=np.zeros(2), col_means=np.zeros(2))
 
+    @pytest.mark.parametrize("name", ["row_means", "col_means"])
+    def test_normalization_info_rejects_nested_means(self, name):
+        means = {"row_means": np.zeros(2), "col_means": np.zeros(3), name: np.zeros((1, 2))}
+        with pytest.raises(ValueError, match=rf"^{name} must be 1-D, got shape \(1, 2\)$"):
+            NormalizationInfo(mean=0.0, std=1.0, **means)
+
     def test_normalization_info_dict_round_trip(self, rng):
         _, info = normalize(random_masked(rng))
         doc = info.to_dict()

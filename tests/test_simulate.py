@@ -23,6 +23,7 @@ class TestSpecValidation:
             {"m": 5, "n": 5, "true_rank": 0},
             {"m": 5, "n": 5, "sigma": float("nan")},
             {"m": 5, "n": 5, "na_portion": -0.1},
+            {"m": 5, "n": 5, "sigma": float("inf")},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
