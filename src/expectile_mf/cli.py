@@ -42,7 +42,7 @@ from .masked import (
 )
 from .model import model_from_dict, model_to_dict
 from .optim import ALGORITHMS, STATUS_GRAD_TOL, OptimizeOptions
-from .pipeline import FitConfig, FitReport, fit, tau_sweep
+from .pipeline import FitConfig, FitReport, check_warm_start, fit, tau_sweep
 from .simulate import SimulationSpec, generate
 
 DEFAULT_SEED = 20160229
@@ -235,10 +235,7 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
     if warm_start_path is not None:
         with open_input(warm_start_path) as fh:
             warm, _, _ = model_from_dict(json.load(fh))
-            if (warm.n, warm.p, warm.k) != (x.n_rows, x.n_cols, rank):
-                raise ExpectileMFError(
-                    f"warm start is ({warm.n}, {warm.p}, {warm.k}), "
-                    f"expected ({x.n_rows}, {x.n_cols}, {rank})")
+            check_warm_start(warm, x.n_rows, x.n_cols, rank)
     config = _fit_config(x.n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot, warm)
     report = fit(x, info.row_means, info.col_means, config)

@@ -113,6 +113,10 @@ def read_records_csv(
             line_no = reader.line_num
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
+            if "\r" in row[person_at]:
+                # csv.writer leaves a field holding a lone \r unquoted, so the
+                # labels row written for it would read back as two rows.
+                raise ParseError(line_no, f"person id {row[person_at]!r} holds a carriage return")
             try:
                 ts = datetime.fromisoformat(row[time_at].strip())
             except ValueError:

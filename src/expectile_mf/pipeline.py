@@ -85,6 +85,14 @@ def _warn_if_unnormalized(x: MaskedMatrix) -> None:
         )
 
 
+def check_warm_start(model: FactorModel, n: int, p: int, k: int) -> None:
+    """Raise unless a warm-start model has the fit's shape (n, p, k)."""
+    if (model.n, model.p, model.k) != (n, p, k):
+        raise ExpectileMFError(
+            f"warm start is ({model.n}, {model.p}, {model.k}), expected ({n}, {p}, {k})"
+        )
+
+
 def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     """Best-of-restarts fit of the factor model to normalized data.
 
@@ -105,12 +113,8 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     objective = Objective(x, config.tau, k)
 
     if config.warm_start is not None:
-        ws = config.warm_start
-        if (ws.n, ws.p, ws.k) != (n, p, k):
-            raise ExpectileMFError(
-                f"warm start is ({ws.n}, {ws.p}, {ws.k}), expected ({n}, {p}, {k})"
-            )
-        starts = [flatten(ws)]
+        check_warm_start(config.warm_start, n, p, k)
+        starts = [flatten(config.warm_start)]
     else:
         children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
         starts = [

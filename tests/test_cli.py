@@ -279,6 +279,28 @@ class TestIngestCommand:
         assert rows == [["column_index", "person_id", "date"], ["0", "Smith, J", "2016-04-01"],
                         ["1", "Smith, J", "2016-04-02"]]
 
+    def test_labels_quote_a_person_id_with_a_newline(self, tmp_path):
+        records = tmp_path / "hr.csv"
+        write_records(records, person_field='"a\nb"')
+        labels = tmp_path / "labels.csv"
+        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+                    "--labels", labels]) == 0
+        with open(labels, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[1] for row in rows] == ["person_id", "a\nb", "a\nb"]
+
+    def test_person_id_with_a_carriage_return_is_two(self, tmp_path, capsys):
+        # csv.writer leaves a field holding a lone \r unquoted, so its labels row
+        # would read back as two rows; the csv module counts the \r as a line end.
+        records = tmp_path / "hr.csv"
+        write_records(records, person_field='"a\rb"')
+        labels = tmp_path / "labels.csv"
+        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+                    "--labels", labels]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {records}: line 3: person id 'a\\rb' holds a carriage return\n")
+        assert not labels.exists()
+
 
 class TestBandCurvesCommand:
     def test_long_format(self, sim_csv, tmp_path):

@@ -6,14 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import expectile_mf.model as model_module
 from expectile_mf import (
     ExpectileMFError,
     FactorModel,
+    FitConfig,
     MaskedMatrix,
     Objective,
     OptimizeOptions,
     SimulationSpec,
     canonicalize,
+    fit,
     fitted_matrix,
     flatten,
     generate,
@@ -224,6 +227,42 @@ class TestObjective:
             assert fused.function_evals == oracle.function_evals
             assert np.array_equal(fused.x_final, oracle.x_final)
 
+    @pytest.mark.parametrize("cells", [1, 50, 1000])
+    def test_row_blocks_match_where_oracle(self, cells, rng, monkeypatch):
+        # Budgets of 1, 50 and 1000 cells give one-row blocks, blocks with a
+        # ragged last one (13 rows of 17 in blocks of 2) and a few blocks. The
+        # loss and the c and v parts are sums of per-block sums, so they match
+        # the one-block values up to rounding, relative to the largest entry:
+        # an entry that cancels to 1e-4 of the largest reads further off.
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", cells)
+        for n, p in ((13, 17), (41, 7), (150, 220)):
+            for k in (1, 2, 3):
+                for t in (0.1, 0.5, 0.9):
+                    for make in (poisoned_instance, edge_instance):
+                        model, x = make(rng, n, p, k)
+                        loss, grad = Objective(x, t, k)(flatten(model))
+                        o_loss, o_grad = where_loss_and_gradient(
+                            model.r, model.c, model.u, model.v, x.values, x.mask, t
+                        )
+                        assert loss == pytest.approx(o_loss, rel=1e-12, abs=0.0)
+                        np.testing.assert_allclose(
+                            grad, o_grad, rtol=0.0, atol=1e-12 * np.abs(o_grad).max()
+                        )
+
+    def test_fit_above_block_budget_matches_one_block(self, monkeypatch):
+        # 288 x 400 runs as blocks of 122, 122 and 44 rows; the same fit with the
+        # whole matrix as one block takes the same path up to rounding.
+        n, p = 288, 400
+        assert n * p > model_module._BLOCK_CELLS
+        sim = generate(SimulationSpec(m=n, n=p, true_rank=1, na_portion=0.7, seed=11))
+        xn, info = normalize(sim.x)
+        config = FitConfig(tau=0.1, k=1, opts=OptimizeOptions(algorithm="lbfgs"), seed=1)
+        blocked = fit(xn, info.row_means, info.col_means, config)
+        monkeypatch.setattr(model_module, "_BLOCK_CELLS", n * p)
+        whole = fit(xn, info.row_means, info.col_means, config)
+        assert blocked.status == whole.status
+        assert blocked.final_loss == pytest.approx(whole.final_loss, rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("k", [1, 3])
     def test_diagonal_is_scaled_hessian_diagonal(self, k, rng):
         # At tau = 0.5 every weight is 1/2 and the loss is quadratic along
@@ -252,23 +291,26 @@ class TestObjective:
         np.testing.assert_allclose(diag[~empty], x.observed_count() * hess[~empty], rtol=1e-6)
         assert diag[0] == mask[0].sum() and diag[n] == mask[:, 0].sum()
 
-    def test_reuse_leaks_no_state(self, rng):
-        # At k = 1 the padded BLAS operands also carry state between calls.
-        for k in (1, 3):
-            model, x = poisoned_instance(rng, 13, 17, k)
-            vec1 = flatten(model)
-            vec2 = vec1 + rng.normal(size=vec1.size)
-            obj = Objective(x, 0.3, k)
-            first = obj(vec1)
-            kept = first[1].copy()
-            obj(vec2)
-            again = obj(vec1)
-            fresh = Objective(x, 0.3, k)(vec1)
-            assert again[0] == fresh[0]
-            assert np.array_equal(again[1], fresh[1])
-            # Each call hands out its own gradient; later calls must not write into it.
-            assert np.array_equal(first[1], kept)
-            assert again[1] is not first[1]
+    def test_reuse_leaks_no_state(self, rng, monkeypatch):
+        # At k = 1 the padded BLAS operands also carry state between calls. A
+        # 50-cell budget splits 13 rows of 17 into blocks of 2 and a ragged one.
+        for cells in (model_module._BLOCK_CELLS, 50):
+            monkeypatch.setattr(model_module, "_BLOCK_CELLS", cells)
+            for k in (1, 3):
+                model, x = poisoned_instance(rng, 13, 17, k)
+                vec1 = flatten(model)
+                vec2 = vec1 + rng.normal(size=vec1.size)
+                obj = Objective(x, 0.3, k)
+                first = obj(vec1)
+                kept = first[1].copy()
+                obj(vec2)
+                again = obj(vec1)
+                fresh = Objective(x, 0.3, k)(vec1)
+                assert again[0] == fresh[0]
+                assert np.array_equal(again[1], fresh[1])
+                # Each call hands out its own gradient; later calls must not write into it.
+                assert np.array_equal(first[1], kept)
+                assert again[1] is not first[1]
 
     def test_length_mismatch(self, rng):
         _, x = random_instance(rng, n=3, p=4, k=1)
