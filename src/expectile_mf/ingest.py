@@ -107,10 +107,12 @@ def read_records_csv(
             if col not in header:
                 raise ParseError(1, f"missing column {col!r} in header {header}")
         person_at, time_at, bpm_at = (header.index(c) for c in (person_col, time_col, bpm_col))
+        # A quoted field may span lines; a record is named by its first line.
+        next_line = reader.line_num + 1
         for row in reader:
+            line_no, next_line = next_line, reader.line_num + 1
             if not row:
                 continue
-            line_no = reader.line_num
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
             if "\r" in row[person_at]:

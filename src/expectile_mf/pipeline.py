@@ -3,9 +3,9 @@
 A fit seeds the additive terms with the row/column means of the normalized
 data, draws the factors from a standard normal stream, minimizes the
 asymmetric loss (handing the optimizer the loss's Jacobi diagonal, which
-lbfgs uses to scale its steps), canonicalizes the winner, and optionally
-fixes the rank-1 sign at a pivot row. Sweeps over tau anchor at tau = 0.5 and warm-start the
-other levels from that solution.
+lbfgs and bfgs use to scale their steps), canonicalizes the winner, and
+optionally fixes the rank-1 sign at a pivot row. Sweeps over tau anchor at
+tau = 0.5 and warm-start the other levels from that solution.
 """
 
 from __future__ import annotations

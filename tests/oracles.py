@@ -6,9 +6,9 @@ bit-exact references for vectorized package code: where_loss_and_gradient
 (the fused loss kernel), loop_bin_records (the sorted record binning) and
 csv_writer_write_matrix (the row-format matrix CSV writer).
 full_matrix_bfgs_update and DenseBfgsRule are the dense reference that the
-package's two-loop bfgs rule must match to rounding; ScalarLbfgsRule is the
-bit-exact reference for lbfgs from gamma*I, the form its diagonal scaling
-must reduce to at D = 1. The last four helpers
+package's two-loop lbfgs and bfgs rules must match to rounding;
+ScalarLbfgsRule is the bit-exact reference for lbfgs from gamma*I, the form
+its diagonal scaling must reduce to at D = 1. The last four helpers
 are the gates' measuring tools: a central-difference gradient, the planted
 mean and noise level of a simulated matrix, and the loss-to-RMSE conversion.
 """
@@ -190,34 +190,44 @@ def full_matrix_bfgs_update(h, s, y, sy):
 
 
 class DenseBfgsRule:
-    """Dense-matrix BFGS direction rule with the package's rule interface.
+    """Dense-matrix quasi-Newton direction rule with the package's rule interface.
 
-    h starts at I, is scaled by s'y / y'y of the first pair when that is
-    positive, skips pairs with s'y <= 1e-10 |s| |y|, and resets to I.
+    Each direction rebuilds the d x d inverse Hessian: diag(gamma / D) with
+    D = diagonal(x) (1 without a diagonal) and gamma = s'y / y'D^-1 y of the
+    newest pair, then the dense BFGS update with every kept pair, oldest
+    first; with no pairs it is I. Pairs with s'y <= 1e-10 |s| |y| are
+    skipped, reset drops every pair, and memory, when set, keeps only that
+    many of the newest.
     """
 
     c2 = 0.9
 
-    def __init__(self, dim, diagonal=None):
-        self.h = np.eye(dim)
-        self.first_pair = True
+    def __init__(self, diagonal=None, memory=None):
+        self.diagonal = diagonal
+        self.memory = memory
+        self.pairs = []
 
     def direction(self, g, x):
-        return -(self.h @ g)
+        h = np.eye(g.size)
+        if self.pairs:
+            s, y = self.pairs[-1]
+            d_inv = np.ones(g.size) if self.diagonal is None else 1.0 / self.diagonal(x)
+            h = np.diag(float(s @ y) / float(y @ (d_inv * y)) * d_inv)
+        for s, y in self.pairs:
+            full_matrix_bfgs_update(h, s, y, float(s @ y))
+        return -(h @ g)
 
     def reset(self):
-        self.h = np.eye(self.h.shape[0])
+        self.pairs = []
 
     def first_step(self, f, g, dphi0):
         return 1.0
 
     def update(self, s, y, g, direction):
-        sy = float(s @ y)
-        if self.first_pair and sy > 0.0:
-            self.h *= sy / float(y @ y)
-        self.first_pair = False
-        if sy > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
-            full_matrix_bfgs_update(self.h, s, y, sy)
+        if float(s @ y) > 1e-10 * np.linalg.norm(s) * np.linalg.norm(y):
+            self.pairs.append((s, y))
+            if self.memory is not None:
+                del self.pairs[: -self.memory]
 
 
 class ScalarLbfgsRule:
@@ -229,7 +239,7 @@ class ScalarLbfgsRule:
 
     c2 = 0.9
 
-    def __init__(self, dim, diagonal=None):
+    def __init__(self, diagonal=None):
         self.pairs = []
 
     def direction(self, g, x):

@@ -298,7 +298,7 @@ class TestIngestCommand:
         assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
                     "--labels", labels]) == 2
         assert capsys.readouterr().err == (
-            f"error: {records}: line 3: person id 'a\\rb' holds a carriage return\n")
+            f"error: {records}: line 2: person id 'a\\rb' holds a carriage return\n")
         assert not labels.exists()
 
 

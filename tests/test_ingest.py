@@ -244,6 +244,18 @@ class TestReadRecordsCsv:
             read_records_csv(path)
         assert err.value.line_number == 2
 
+    def test_multi_line_record_is_named_by_its_first_line(self, tmp_path):
+        # The blank line 3 is skipped; the record on lines 4-5 has a bad bpm.
+        path = tmp_path / "hr.csv"
+        path.write_text(
+            "person_id,timestamp,bpm\n"
+            "p1,2016-04-01T00:00:00,62\n"
+            "\n"
+            '"p\n2",2016-04-01T00:05:00,fast\n'
+        )
+        with pytest.raises(ParseError, match="line 4: bad bpm 'fast'"):
+            read_records_csv(path)
+
     @pytest.mark.parametrize("row, n_fields", [("2016-04-01T00:05:00,71", 2),
                                                ("2016-04-01T00:05:00,71,p1,extra", 4)],
                              ids=["short", "long"])

@@ -169,51 +169,30 @@ class TestBfgsUpdate:
         dense = h @ g
         assert np.abs(_two_loop(g, pairs, gamma) - dense).max() <= 1e-12 * np.abs(dense).max()
 
-    @pytest.mark.parametrize("first_sy_positive", [False, True])
-    def test_rule_matches_dense_oracle(self, first_sy_positive, rng):
-        # 36 pairs into 20 dimensions: the first pair sets (or, with s'y <= 0,
-        # leaves at 1) the scaling, one pair is skipped for lack of curvature,
-        # and a reset drops every pair back to the identity.
-        dim = 20
-        rule, oracle = optim._Bfgs(dim), DenseBfgsRule(dim)
-        s, y = curvature_pair(rng, dim)
-        events = [(s, y if first_sy_positive else -y)]
-        events += [curvature_pair(rng, dim) for _ in range(14)]
-        s, v = curvature_pair(rng, dim)
-        events.append((s, v - float(v @ s) / float(s @ s) * s))
-        events += [curvature_pair(rng, dim) for _ in range(5)]
-        events.append(None)
-        events += [curvature_pair(rng, dim) for _ in range(15)]
-        assert (float(events[0][0] @ events[0][1]) > 0.0) == first_sy_positive
-        kept = []
-        for event in events:
-            if event is None:
-                rule.reset()
-                oracle.reset()
-            else:
-                rule.update(*event, None, None)
-                oracle.update(*event, None, None)
-            kept.append(len(rule.pairs))
-            g = rng.normal(size=dim)
-            ref = -(oracle.h @ g)
-            assert np.abs(rule.direction(g, None) - ref).max() <= 1e-12 * np.abs(ref).max()
-        # Pair 0 fails the curvature test when s'y <= 0; pair 15 always does.
-        assert kept[15] == kept[14] and kept[20] == 20 - (not first_sy_positive)
-        assert kept[21] == 0 and kept[-1] == 15
-
     def test_minimize_path_matches_full_matrix_loop(self, monkeypatch):
-        # 30x24 at k=2 gives 162 parameters; the fit keeps more pairs than that.
+        # An over-ranked k=2 fit from the loss's diagonal keeps 140 pairs, far
+        # beyond lbfgs's memory. At tau 0.3 it would stop at max_iters, where
+        # 500 ill-posed steps grow the two paths' rounding to 9e-6 apart.
         sim = generate(SimulationSpec(m=30, n=24, true_rank=1, sigma=0.1, na_portion=0.2, seed=5))
         xn, info = normalize(sim.x)
-        objective = Objective(xn, 0.3, 2)
+        objective = Objective(xn, 0.5, 2)
         x0 = flatten(initial_model(info.row_means, info.col_means, 2, 1))
-        opts = OptimizeOptions(algorithm="bfgs")
+        opts = OptimizeOptions(algorithm="bfgs", diagonal=objective.diagonal)
         two_loop = minimize(objective, x0, opts)
         monkeypatch.setitem(optim._RULES, "bfgs", DenseBfgsRule)
         dense = minimize(objective, x0, opts)
         assert two_loop.status == dense.status == STATUS_GRAD_TOL
-        assert two_loop.iterations == dense.iterations > x0.size
+        assert two_loop.iterations == dense.iterations > 10 * optim._LBFGS_MEMORY
         assert abs(two_loop.final_loss - dense.final_loss) <= 1e-10 * abs(dense.final_loss)
+
+    def test_heart_rate_shape_fit_converges(self):
+        # bfgs from the loss's diagonal meets the gradient tolerance here in 35
+        # iterations; from a scalar gamma*I it stopped at max_iters after 500.
+        sim = generate(SimulationSpec(m=288, n=2000, true_rank=2, na_portion=0.7, seed=1))
+        xn, info = normalize(sim.x)
+        config = FitConfig(tau=0.1, k=1, opts=OptimizeOptions(algorithm="bfgs"), seed=1)
+        report = pipeline.fit(xn, info.row_means, info.col_means, config)
+        assert report.status == STATUS_GRAD_TOL
 
 
 def small_fit_problem(k=2, seed=5):
@@ -245,38 +224,44 @@ class TestScaledLbfgs:
             assert len(iterates) == len(textbook[1])
             assert all(np.array_equal(a, b) for a, b in zip(iterates, textbook[1]))
 
-    def test_direction_matches_dense_oracle(self, rng):
-        # 14 pairs into a memory of 10, one of them skipped for lack of
-        # curvature; D changes with x, so each direction needs its own H0.
+    @pytest.mark.parametrize("algorithm, kept", [("lbfgs", 10), ("bfgs", 13)])
+    def test_direction_matches_dense_oracle(self, algorithm, kept, rng):
+        # Three pairs and a reset, then 14 pairs, one of them skipped for lack
+        # of curvature: lbfgs keeps the newest 10 and bfgs all 13. D changes
+        # with x, so each direction needs its own H0.
         dim = 20
         weights = rng.uniform(0.1, 10.0, size=dim)
 
         def diagonal(x):
             return weights * (1.0 + x * x)
 
-        rule = optim._Lbfgs(dim, diagonal)
-        x = rng.normal(size=dim)
-        g = rng.normal(size=dim)
+        rule = optim._RULES[algorithm](diagonal)
+        oracle = DenseBfgsRule(diagonal, memory=rule.maxlen)
+        s, v = curvature_pair(rng, dim)
+        flat = (s, v - float(v @ s) / float(s @ s) * s)
+        events = [curvature_pair(rng, dim) for _ in range(3)] + [None]
+        events += [curvature_pair(rng, dim) for _ in range(6)] + [flat]
+        events += [curvature_pair(rng, dim) for _ in range(7)]
+        x, g = rng.normal(size=dim), rng.normal(size=dim)
         assert np.array_equal(rule.direction(g, x), -g)
-        for i in range(14):
-            if i == 6:
-                s, v = curvature_pair(rng, dim)
-                rule.update(s, v - float(v @ s) / float(s @ s) * s, None, None)
-            else:
-                rule.update(*curvature_pair(rng, dim), None, None)
+        counts = []
+        for event in events:
+            for r in (rule, oracle):
+                if event is None:
+                    r.reset()
+                else:
+                    r.update(*event, None, None)
+            counts.append(len(rule.pairs))
             x, g = rng.normal(size=dim), rng.normal(size=dim)
-            d_inv = 1.0 / diagonal(x)
-            s, y, _ = rule.pairs[-1]
-            h = np.diag(float(s @ y) / float(y @ (d_inv * y)) * d_inv)
-            for s, y, rho in rule.pairs:
-                full_matrix_bfgs_update(h, s, y, 1.0 / rho)
-            ref = -(h @ g)
+            ref = oracle.direction(g, x)
             assert np.abs(rule.direction(g, x) - ref).max() <= 1e-12 * np.abs(ref).max()
-        assert len(rule.pairs) == 10
+        assert counts[2:4] == [3, 0] and counts[10] == counts[9] == 6
+        assert counts[-1] == len(oracle.pairs) == kept
 
-    def test_fit_scales_lbfgs_only(self, monkeypatch):
+    def test_fit_scales_quasi_newton_only(self, monkeypatch):
         # pipeline.fit hands the objective's diagonal to every algorithm;
-        # bfgs and cg must step exactly as they do without it.
+        # lbfgs and bfgs scale by it, and cg alone must step exactly as it
+        # does without it.
         xn, info, _ = small_fit_problem()
         calls = []
 
@@ -295,7 +280,7 @@ class TestScaledLbfgs:
             same = len(iterates) == len(plain_iterates) and all(
                 np.array_equal(a, b) for a, b in zip(iterates, plain_iterates)
             )
-            assert same == (algorithm != "lbfgs")
+            assert same == (algorithm == "cg")
 
 
 class TestReset:
