@@ -35,6 +35,7 @@ from .expectiles import check_tau, marginal_expectile_curves
 from .ingest import SEGMENTS_PER_DAY, bin_records, filter_and_normalize, read_records_csv
 from .masked import (
     NormalizationInfo,
+    csv_records,
     normalize,
     open_input,
     read_matrix_csv,
@@ -54,10 +55,16 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path, header, rows) -> None:
+    """csv.writer leaves a lone carriage return unquoted, where RFC 4180 quotes
+    a field holding a line break, so a row that holds one is quoted in full."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(header)
-        writer.writerows([c if isinstance(c, (str, int)) else _fmt(c) for c in row] for row in rows)
+        for row in rows:
+            cells = [c if isinstance(c, (str, int)) else _fmt(c) for c in row]
+            has_cr = any(isinstance(c, str) and "\r" in c for c in cells)
+            (quote_all if has_cr else writer).writerow(cells)
 
 
 def _write_records(path, records) -> None:
@@ -200,7 +207,8 @@ def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iter
 def _write_fit(model_path, report_path, tau, report: FitReport, info) -> list[Path]:
     """Write a fit's model and report JSONs (warning on stderr if unconverged); return both."""
     _write_json(model_path, model_to_dict(report.model, tau, info))
-    _write_json(report_path, {key: val for key, val in vars(report).items() if key != "model"})
+    _write_json(report_path, {key: val for key, val in vars(report).items()
+                              if key not in ("x_final", "model")})
     if report.status != STATUS_GRAD_TOL:
         click.echo(f"warning: fit at tau {tau:g} stopped with status {report.status} "
                    f"after {report.iterations} iterations", err=True)
@@ -319,20 +327,19 @@ def icc_cmd(input_path, out):
     """Between-group share of variance for grouped values."""
     groups, values = [], []
     with open_input(input_path) as fh:
-        reader = csv.reader(fh)
-        for row in reader:
+        for line_no, row in csv_records(fh):
             fields = [field.strip() for field in row]
-            if fields in ([], [""]):
+            if fields == [""]:
                 continue
             if len(fields) != 2:
-                raise ParseError(reader.line_num, "expected 'group_id,value'")
+                raise ParseError(line_no, "expected 'group_id,value'")
             groups.append(fields[0])
             try:
                 value = float(fields[1])
             except ValueError:
-                raise ParseError(reader.line_num, f"bad value {fields[1]!r}") from None
+                raise ParseError(line_no, f"bad value {fields[1]!r}") from None
             if not np.isfinite(value):
-                raise ParseError(reader.line_num, f"non-finite value {value!r}")
+                raise ParseError(line_no, f"non-finite value {value!r}")
             values.append(value)
         value = icc(values, groups)
     _write_json(Path(out), {"icc": value, "n_values": len(values), "n_groups": len(set(groups))})

@@ -11,7 +11,7 @@ class ExpectileMFError(Exception):
 
 
 class ParseError(ExpectileMFError):
-    """A malformed record in an input file, at 1-based line_number."""
+    """A malformed record in an input file, starting at 1-based line_number."""
 
     def __init__(self, line_number: int, message: str):
         self.line_number = line_number

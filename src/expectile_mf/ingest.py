@@ -8,7 +8,6 @@ date); segments with no readings are missing.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -16,7 +15,7 @@ from datetime import date, datetime
 import numpy as np
 
 from .errors import ExpectileMFError, ParseError
-from .masked import MaskedMatrix, NormalizationInfo, drop_sparse_columns, normalize, open_input
+from .masked import MaskedMatrix, NormalizationInfo, csv_records, drop_sparse_columns, normalize, open_input
 
 SEGMENTS_PER_DAY = 288
 SECONDS_PER_SEGMENT = 300
@@ -99,26 +98,17 @@ def read_records_csv(
     """Parse a header-ed CSV into (person_id, timestamp, bpm) records; columns are remappable."""
     records = []
     with open_input(path) as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
+        rows = csv_records(fh)
+        header_line, header = next(rows, (None, None))
         if header is None:
             raise ExpectileMFError("empty file")
         for col in (person_col, time_col, bpm_col):
             if col not in header:
-                raise ParseError(1, f"missing column {col!r} in header {header}")
+                raise ParseError(header_line, f"missing column {col!r} in header {header}")
         person_at, time_at, bpm_at = (header.index(c) for c in (person_col, time_col, bpm_col))
-        # A quoted field may span lines; a record is named by its first line.
-        next_line = reader.line_num + 1
-        for row in reader:
-            line_no, next_line = next_line, reader.line_num + 1
-            if not row:
-                continue
+        for line_no, row in rows:
             if len(row) != len(header):
                 raise ParseError(line_no, f"expected {len(header)} fields, got {len(row)}")
-            if "\r" in row[person_at]:
-                # csv.writer leaves a field holding a lone \r unquoted, so the
-                # labels row written for it would read back as two rows.
-                raise ParseError(line_no, f"person id {row[person_at]!r} holds a carriage return")
             try:
                 ts = datetime.fromisoformat(row[time_at].strip())
             except ValueError:

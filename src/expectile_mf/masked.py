@@ -3,7 +3,9 @@
 The mask is authoritative: values stored at unobserved cells are sentinels
 that no operation reads. All statistics and normalization here are
 missing-aware. Also holds the CSV wire format for matrices (missing cells
-written as "nan", parsed from "nan" or an empty field, case-insensitive).
+written as "nan", parsed from "nan" or an empty field, case-insensitive),
+and the input boundary: open_input opens every file the package reads, and
+csv_records is the one place where CSV records and their lines are read.
 """
 
 from __future__ import annotations
@@ -207,16 +209,24 @@ def open_input(path):
         raise
 
 
+def csv_records(fh):
+    """Yield (line, fields) for each non-empty CSV record, where line is the
+    1-based line the record starts on; a quoted field may span lines."""
+    reader = csv.reader(fh)
+    line = 1
+    for fields in reader:
+        if fields:
+            yield line, fields
+        line = reader.line_num + 1
+
+
 def read_matrix_csv(path) -> MaskedMatrix:
     values: list[list[float]] = []
     mask: list[list[bool]] = []
     line_numbers: list[int] = []
     width = None
     with open_input(path) as fh:
-        reader = csv.reader(fh)
-        for line_no, row in enumerate(reader, start=1):
-            if not row:
-                continue
+        for line_no, row in csv_records(fh):
             if width is None:
                 width = len(row)
             elif len(row) != width:

@@ -49,13 +49,10 @@ class FitConfig:
 
 
 @dataclass
-class FitReport:
+class FitReport(OptimizeResult):
+    """The winning restart's result, its model, and every restart's final loss."""
+
     model: FactorModel
-    final_loss: float
-    iterations: int
-    function_evals: int
-    elapsed_seconds: float
-    status: str
     restart_losses: list[float]
 
 
@@ -129,15 +126,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     model = canonicalize(unflatten(best.x_final, n, p, k))
     if config.orient_pivot is not None:
         model = orient_rank1(model, config.orient_pivot)
-    return FitReport(
-        model=model,
-        final_loss=best.final_loss,
-        iterations=best.iterations,
-        function_evals=best.function_evals,
-        elapsed_seconds=best.elapsed_seconds,
-        status=best.status,
-        restart_losses=losses,
-    )
+    return FitReport(**vars(best), model=model, restart_losses=losses)
 
 
 def tau_sweep(x: MaskedMatrix, row_means, col_means, config: FitConfig, taus) -> list[FitReport]:

@@ -289,17 +289,24 @@ class TestIngestCommand:
             rows = list(csv.reader(fh))
         assert [row[1] for row in rows] == ["person_id", "a\nb", "a\nb"]
 
-    def test_person_id_with_a_carriage_return_is_two(self, tmp_path, capsys):
-        # csv.writer leaves a field holding a lone \r unquoted, so its labels row
-        # would read back as two rows; the csv module counts the \r as a line end.
+    def test_labels_quote_a_person_id_with_a_carriage_return(self, tmp_path):
+        # csv.writer leaves a lone \r unquoted, so the labels row that holds one is
+        # quoted in full; the matrix does not depend on the person id.
         records = tmp_path / "hr.csv"
         write_records(records, person_field='"a\rb"')
         labels = tmp_path / "labels.csv"
         assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
-                    "--labels", labels]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {records}: line 2: person id 'a\\rb' holds a carriage return\n")
-        assert not labels.exists()
+                    "--labels", labels]) == 0
+        with open(labels, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["column_index", "person_id", "date"], ["0", "a\rb", "2016-04-01"],
+                        ["1", "a\rb", "2016-04-02"]]
+        plain = tmp_path / "plain"
+        plain.mkdir()
+        write_records(plain / "hr.csv")
+        assert run(["ingest", "--input", plain / "hr.csv", "--output", plain / "matrix.csv",
+                    "--labels", plain / "labels.csv"]) == 0
+        assert (tmp_path / "matrix.csv").read_bytes() == (plain / "matrix.csv").read_bytes()
 
 
 class TestBandCurvesCommand:
@@ -458,6 +465,10 @@ class TestExitCodes:
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,70\np1,2016-04-01T00:05:30,0\n",
              "line 3: bpm must be finite and positive, got 0.0"),
             (["icc", "--out", "icc.json"], "a,1\nb,x\n", "line 2: bad value 'x'"),
+            (["fit", "--output", "model.json"], '1,2\n"3\n",5\n6,x\n',
+             "line 4: not a number: 'x'"),
+            (["icc", "--out", "icc.json"], 'a,1\n"b\nc",2,3\nd,4\n',
+             "line 2: expected 'group_id,value'"),
             (["fit", "--output", "model.json"], "", "no matrix rows found"),
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"], "", "empty file"),
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
@@ -468,8 +479,8 @@ class TestExitCodes:
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30," + "7" * 131_073 + "\n",
              "field larger than field limit (131072)"),
         ],
-        ids=["matrix", "records", "icc", "matrix-empty", "records-empty", "records-header-only",
-             "matrix-field-limit", "records-field-limit"],
+        ids=["matrix", "records", "icc", "matrix-multi-line", "icc-multi-line", "matrix-empty",
+             "records-empty", "records-header-only", "matrix-field-limit", "records-field-limit"],
     )
     def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)

@@ -61,9 +61,8 @@ WHEN = st.one_of(
                  timezones=st.sampled_from(ZONES)),
     st.datetimes(datetime(2016, 3, 31), datetime(2016, 4, 2), timezones=st.sampled_from(ZONES)),
 )
-# a person id may hold any character but a carriage return, which read_records_csv rejects
-PERSON = st.one_of(st.sampled_from(["p1", "Smith, J", ' "q" ', "a\nb"]),
-                   st.text(st.characters(codec="utf-8", exclude_characters="\r"), max_size=12))
+PERSON = st.one_of(st.sampled_from(["p1", "Smith, J", ' "q" ', "a\nb", "a\rb"]),
+                   st.text(st.characters(codec="utf-8"), max_size=12))
 RECORD = st.tuples(PERSON, WHEN, BPM)
 
 
@@ -225,6 +224,14 @@ class TestReadRecordsCsv:
         with pytest.raises(ParseError) as err:
             read_records_csv(path)
         assert err.value.line_number == 1
+
+    def test_blank_lines_before_the_header(self, tmp_path):
+        # The header is the first non-empty record, here on line 3.
+        path = tmp_path / "hr.csv"
+        path.write_text("\n\nperson_id,timestamp,bpm\np1,2016-04-01T00:00:00,62\n")
+        assert read_records_csv(path) == [rec("p1", "2016-04-01T00:00:00", 62.0)]
+        with pytest.raises(ParseError, match="line 3: missing column 'Id'"):
+            read_records_csv(path, person_col="Id")
 
     def test_bad_timestamp_line_number(self, tmp_path):
         path = tmp_path / "hr.csv"
