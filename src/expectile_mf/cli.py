@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every seeded subcommand takes --seed (default 20160229) and records it in
-its manifest. Matrix CSVs have no header row. fit and tau-sweep normalize
-their input unless --normalization names an ingest sidecar. Outputs carry
+its manifest. Matrix CSVs have no header row and hold data on its own scale;
+every command that fits one (fit, tau-sweep, bench resilience) normalizes
+what it reads, and a model JSON records that normalization. Outputs carry
 17 significant digits, and a manifest JSON next to the primary output
 records every option as parsed, the values resolved from the input, the
 seed and the input files. Exit codes: 0 success, 1 usage error,
@@ -32,10 +33,10 @@ from .analysis import (
 )
 from .errors import ExpectileMFError, ParseError
 from .expectiles import check_tau, marginal_expectile_curves
-from .ingest import SEGMENTS_PER_DAY, bin_records, filter_and_normalize, read_records_csv
+from .ingest import SEGMENTS_PER_DAY, bin_records, read_records_csv
 from .masked import (
-    NormalizationInfo,
     csv_records,
+    drop_sparse_columns,
     normalize,
     open_input,
     read_matrix_csv,
@@ -176,21 +177,6 @@ def simulate(rows, cols, true_rank, sigma, na, seed, out):
 # ---------------------------------------------------------------------------
 
 
-def _prepare_fit_input(input_path, normalization_path):
-    """Returns (normalized matrix, info): the input normalized here, or the
-    input as given with the ingest sidecar that normalized it."""
-    x = read_matrix_csv(input_path)
-    if normalization_path is None:
-        return normalize(x)
-    with open_input(normalization_path) as fh:
-        info = NormalizationInfo.from_dict(json.load(fh))
-        if (info.row_means.size, info.col_means.size) != (x.n_rows, x.n_cols):
-            raise ExpectileMFError(
-                f"{info.row_means.size} row and {info.col_means.size} "
-                f"column means for a {x.n_rows}x{x.n_cols} matrix")
-    return x, info
-
-
 def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
                 orient_pivot, warm=None) -> FitConfig:
     """FitConfig from the shared fit options; a rank-1 fit of SEGMENTS_PER_DAY
@@ -225,8 +211,6 @@ _fit_options = [
     click.option("--max-iters", type=int, default=500, show_default=True),
     click.option("--orient-pivot", type=int, default=None,
                  help="Rank-1 sign pivot row (default 72 for a rank-1 fit of 288 rows)."),
-    click.option("--normalization", "normalization_path", type=click.Path(exists=True),
-                 default=None, help="JSON sidecar with mean/std/row/col means of the input."),
 ]
 
 
@@ -236,9 +220,9 @@ _fit_options = [
 @click.option("--warm-start", "warm_start_path", type=click.Path(exists=True), default=None)
 @click.option("--output", type=click.Path(), required=True, help="Model JSON path.")
 def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, orient_pivot,
-            normalization_path, tau, warm_start_path, output):
+            tau, warm_start_path, output):
     """Fit one model; writes model JSON plus a report JSON."""
-    x, info = _prepare_fit_input(input_path, normalization_path)
+    x, info = normalize(read_matrix_csv(input_path))
     warm = None
     if warm_start_path is not None:
         with open_input(warm_start_path) as fh:
@@ -258,7 +242,7 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
 @click.option("--taus", default="0.1,0.5,0.9", show_default=True)
 @click.option("--output-dir", type=click.Path(), required=True)
 def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters,
-                  orient_pivot, normalization_path, taus, output_dir):
+                  orient_pivot, taus, output_dir):
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
     tau_values = _parse_list(taus, float)
     for i, tau in enumerate(tau_values):
@@ -267,7 +251,7 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
                 raise click.UsageError(
                     f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
         check_tau(tau)
-    x, info = _prepare_fit_input(input_path, normalization_path)
+    x, info = normalize(read_matrix_csv(input_path))
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
     out_dir = Path(output_dir)
@@ -329,8 +313,6 @@ def icc_cmd(input_path, out):
     with open_input(input_path) as fh:
         for line_no, row in csv_records(fh):
             fields = [field.strip() for field in row]
-            if fields == [""]:
-                continue
             if len(fields) != 2:
                 raise ParseError(line_no, "expected 'group_id,value'")
             groups.append(fields[0])
@@ -356,22 +338,21 @@ def icc_cmd(input_path, out):
 @click.option("--time-col", default="timestamp", show_default=True)
 @click.option("--bpm-col", default="bpm", show_default=True)
 def ingest(input_path, output, labels_path, max_missing, person_col, time_col, bpm_col):
-    """Bin heart-rate records into the 288 x person-days matrix, filter, normalize."""
+    """Bin heart-rate records into the 288 x person-days matrix in bpm and drop
+    the person-days missing more than --max-missing of their segments."""
     records = read_records_csv(input_path, person_col=person_col, time_col=time_col, bpm_col=bpm_col)
     pdm = bin_records(records)
-    xn, info, kept_labels = filter_and_normalize(pdm, max_missing)
-    output = Path(output)
-    write_matrix_csv(xn, output)
+    x, kept = drop_sparse_columns(pdm.matrix, max_missing)
+    write_matrix_csv(x, output)
     _write_csv(
         Path(labels_path),
         ["column_index", "person_id", "date"],
-        [[j, pid, day.isoformat()] for j, (pid, day) in enumerate(kept_labels)],
+        [[j, pid, day.isoformat()] for j, (pid, day) in
+         enumerate(pdm.column_labels[i] for i in kept)],
     )
-    norm_path = output.with_name(output.stem + ".normalization.json")
-    _write_json(norm_path, info.to_dict())
-    _manifest(output, "ingest", [output, labels_path, norm_path],
-              columns_before=pdm.matrix.n_cols, columns_after=xn.n_cols)
-    click.echo(f"binned {pdm.matrix.n_cols} person-days, kept {xn.n_cols}; wrote {output}")
+    _manifest(output, "ingest", [output, labels_path],
+              columns_before=pdm.matrix.n_cols, columns_after=x.n_cols)
+    click.echo(f"binned {pdm.matrix.n_cols} person-days, kept {x.n_cols}; wrote {output}")
 
 
 @cli.command(name="band-curves")
@@ -443,7 +424,7 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
 
 @bench.command(name="resilience")
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True,
-              help="Normalized matrix CSV (e.g. from simulate + fit preprocessing).")
+              help="Matrix CSV; normalized before fitting.")
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--tau", type=float, default=0.2, show_default=True)
 @click.option("--rank", type=int, default=3, show_default=True)
@@ -456,7 +437,7 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
 def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
                    max_iters, seed, out_loss_csv, out_mad_csv):
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
-    x = read_matrix_csv(input_path)
+    x, _ = normalize(read_matrix_csv(input_path))
     config = FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),

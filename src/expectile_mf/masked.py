@@ -20,7 +20,9 @@ from .errors import ExpectileMFError, ParseError
 
 
 def frozen_array(arr, dtype) -> np.ndarray:
-    out = np.array(arr, dtype=dtype)
+    """Read-only C-ordered copy: a layout that follows the input would change the
+    order of reductions, and so the last bit of sums, with the input's history."""
+    out = np.array(arr, dtype=dtype, order="C")
     out.setflags(write=False)
     return out
 
@@ -97,7 +99,7 @@ class NormalizationInfo:
             object.__setattr__(self, name, means)
 
     def to_dict(self) -> dict:
-        """JSON form, shared by the ingest sidecar and the model file."""
+        """JSON form, the model file's normalization block."""
         return {
             "mean": self.mean,
             "std": self.std,
@@ -210,12 +212,13 @@ def open_input(path):
 
 
 def csv_records(fh):
-    """Yield (line, fields) for each non-empty CSV record, where line is the
-    1-based line the record starts on; a quoted field may span lines."""
+    """Yield (line, fields) for each non-blank CSV record, where line is the
+    1-based line the record starts on; a quoted field may span lines. A record
+    of one field that is empty or whitespace only is blank."""
     reader = csv.reader(fh)
     line = 1
     for fields in reader:
-        if fields:
+        if len(fields) > 1 or (fields and fields[0].strip()):
             yield line, fields
         line = reader.line_num + 1
 

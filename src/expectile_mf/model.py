@@ -286,5 +286,10 @@ def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, Normalizatio
     model = FactorModel(r, c, u.reshape(n, k), v.reshape(p, k))
     nd = doc.get("normalization")
     info = NormalizationInfo.from_dict(nd) if nd is not None else None
+    if info is not None and (info.row_means.size, info.col_means.size) != (n, p):
+        raise ExpectileMFError(
+            f"declared n={n}, p={p} but normalization holds {info.row_means.size} row "
+            f"and {info.col_means.size} column means"
+        )
     tau = doc.get("tau")
     return model, (float(tau) if tau is not None else None), info

@@ -7,9 +7,9 @@ import pytest
 
 from expectile_mf import (
     MaskedMatrix,
+    global_stats,
     loss_and_gradient,
     read_matrix_csv,
-    write_matrix_csv,
 )
 from expectile_mf.cli import cli, main
 from expectile_mf.model import model_from_dict
@@ -32,6 +32,11 @@ def write_records(path, person_field="p1"):
             rows.append(f"{person_field},2016-04-{day:02d}T{h:02d}:{m:02d}:30,"
                         f"{60 + rng.integers(0, 40)}")
     Path(path).write_text("\n".join(rows) + "\n")
+
+
+def with_normalization(model_doc, **fields):
+    """A model JSON document with fields of its normalization block replaced."""
+    return json.dumps({**model_doc, "normalization": {**model_doc["normalization"], **fields}})
 
 
 def read_manifest(primary_output):
@@ -132,17 +137,18 @@ class TestConvergenceWarning:
         ]
 
     def test_package_warning_is_one_line(self, sim_csv, tmp_path, capsys):
-        # Two fits of a raw (unnormalized) matrix warn once, without a source path.
+        # A warm start whose factors are all zero has zero factor gradients, so the fit
+        # keeps u at zero and canonicalize warns once, without a source path.
+        first = tmp_path / "m1.json"
+        assert run(["fit", "--input", sim_csv, "--seed", 1, "--output", first]) == 0
+        doc = json.loads(first.read_text())
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps({**doc, "u": [0.0] * len(doc["u"]),
+                                    "v": [0.0] * len(doc["v"])}))
         capsys.readouterr()
-        code = run(["bench", "resilience", "--input", sim_csv, "--trials", 2, "--tau", 0.5,
-                    "--rank", 1, "--seed", 4, "--out-loss-csv", tmp_path / "loss.csv",
-                    "--out-mad-csv", tmp_path / "mad.csv"])
-        assert code == 0
-        err = capsys.readouterr().err
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("warning: data does not look normalized (mean ")
-        assert ".py:" not in err
+        assert run(["fit", "--input", sim_csv, "--warm-start", zero,
+                    "--output", tmp_path / "m2.json"]) == 0
+        assert capsys.readouterr().err == "warning: u column 0 has norm 0; left unscaled\n"
 
 
 class TestTauSweep:
@@ -169,19 +175,16 @@ class TestTauSweep:
         assert not list(tmp_path.rglob("model_tau*.json"))
 
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
-    def test_failed_sweep_removes_only_directories_it_made(self, tmp_path, capsys, existing):
-        x_csv = tmp_path / "nan.csv"
-        x_csv.write_text("nan,nan\nnan,nan\n")
-        sidecar = tmp_path / "nan.normalization.json"
-        sidecar.write_text(json.dumps({"mean": 0.0, "std": 1.0, "row_means": [0.0, 0.0],
-                                       "col_means": [0.0, 0.0]}))
+    def test_failed_sweep_removes_only_directories_it_made(self, sim_csv, tmp_path, capsys,
+                                                           existing):
+        # The first fit rejects the pivot after the output directory is made.
         out_dir = tmp_path / "out" / "sweep"
         if existing:
             out_dir.mkdir(parents=True)
         capsys.readouterr()
-        assert run(["tau-sweep", "--input", x_csv, "--normalization", sidecar,
-                    "--output-dir", out_dir]) == 2
-        assert capsys.readouterr().err == "error: no observed cells\n"
+        assert run(["tau-sweep", "--input", sim_csv, "--orient-pivot", 999,
+                    "--output-dir", out_dir]) == 1
+        assert capsys.readouterr().err == "Error: orient_pivot 999 out of range for 30 rows\n"
         assert out_dir.exists() == existing
         assert (tmp_path / "out").exists() == existing
 
@@ -263,10 +266,25 @@ class TestIngestCommand:
         assert code == 0
         x = read_matrix_csv(out)
         assert x.n_rows == 288 and x.n_cols == 2
-        assert (tmp_path / "matrix.normalization.json").exists()
+        # the matrix holds the binned heart rates in bpm, with no sidecar next to it
+        assert 60 <= x.observed_values().min() and x.observed_values().max() < 100
+        assert sorted(path.name for path in tmp_path.iterdir()) == [
+            "hr.csv", "labels.csv", "matrix.csv", "matrix.csv.manifest.json"]
         label_lines = labels.read_text().splitlines()
         assert label_lines[0] == "column_index,person_id,date"
         assert len(label_lines) == 3
+
+    def test_fit_of_ingest_output_records_bpm_scale(self, tmp_path):
+        records = tmp_path / "hr.csv"
+        write_records(records)
+        matrix = tmp_path / "matrix.csv"
+        assert run(["ingest", "--input", records, "--output", matrix,
+                    "--labels", tmp_path / "labels.csv"]) == 0
+        model_path = tmp_path / "model.json"
+        assert run(["fit", "--input", matrix, "--max-iters", 20, "--output", model_path]) == 0
+        _, _, info = model_from_dict(json.loads(model_path.read_text()))
+        assert (info.mean, info.std) == global_stats(read_matrix_csv(matrix))
+        assert 60 <= info.mean < 100
 
     def test_labels_quote_a_person_id_with_a_comma(self, tmp_path):
         records = tmp_path / "hr.csv"
@@ -339,19 +357,17 @@ class TestBench:
         assert len(doc["summary"]) == 3
         assert doc["max_loss_spread"] >= 0.0
 
-    def test_resilience_tiny(self, tmp_path, sim_csv):
-        from expectile_mf import normalize
-
-        xn, _ = normalize(read_matrix_csv(sim_csv))
-        norm_csv = tmp_path / "Xn.csv"
-        write_matrix_csv(xn, norm_csv)
+    def test_resilience_tiny(self, tmp_path, sim_csv, capsys):
+        # The raw matrix is normalized before fitting, so no fit warns about its scale.
         out_loss = tmp_path / "loss.csv"
         out_mad = tmp_path / "mad.csv"
-        code = run(["bench", "resilience", "--input", norm_csv, "--trials", 2,
+        capsys.readouterr()
+        code = run(["bench", "resilience", "--input", sim_csv, "--trials", 2,
                     "--tau", 0.5, "--rank", 1, "--grad-tol", 1e-7,
                     "--max-iters", 500, "--seed", 4,
                     "--out-loss-csv", out_loss, "--out-mad-csv", out_mad])
         assert code == 0
+        assert capsys.readouterr().err == ""
         assert len(out_loss.read_text().splitlines()) == 3
 
     def test_rank_sweep_tiny(self, tmp_path):
@@ -384,13 +400,11 @@ class TestManifest:
                           "--out", "X.csv"], "X.csv", []),
             ("ingest", ["--input", "records.csv", "--output", "hr.csv", "--labels", "labels.csv"],
              "hr.csv", ["records.csv"]),
-            ("fit", ["--input", "hr.csv", "--normalization", "hr.normalization.json",
-                     "--max-iters", 20, "--output", "m.json"],
-             "m.json", ["hr.csv", "hr.normalization.json"]),
-            ("fit", ["--input", "hr.csv", "--normalization", "hr.normalization.json",
-                     "--tau", 0.9, "--warm-start", "m.json", "--max-iters", 20,
-                     "--output", "warm.json"],
-             "warm.json", ["hr.csv", "hr.normalization.json", "m.json"]),
+            ("fit", ["--input", "hr.csv", "--max-iters", 20, "--output", "m.json"],
+             "m.json", ["hr.csv"]),
+            ("fit", ["--input", "hr.csv", "--tau", 0.9, "--warm-start", "m.json",
+                     "--max-iters", 20, "--output", "warm.json"],
+             "warm.json", ["hr.csv", "m.json"]),
             ("tau-sweep", ["--input", "X.csv", "--taus", "0.5", "--orient-pivot", 3,
                            "--max-iters", 5, "--output-dir", "sweep"],
              "sweep/sweep_summary.csv", ["X.csv"]),
@@ -421,9 +435,7 @@ class TestManifest:
             assert doc["inputs"] == inputs, subcommand
         ingest_config = read_manifest("hr.csv")["config"]
         assert (ingest_config["columns_before"], ingest_config["columns_after"]) == (2, 2)
-        warm_config = read_manifest("warm.json")["config"]
-        assert warm_config["normalization_path"] == "hr.normalization.json"
-        assert warm_config["warm_start_path"] == "m.json"
+        assert read_manifest("warm.json")["config"]["warm_start_path"] == "m.json"
         assert read_manifest("sweep/sweep_summary.csv")["config"]["orient_pivot"] == 3
 
     def test_argv_order_does_not_change_manifest(self, sim_csv, workdir):
@@ -569,20 +581,21 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "option, bad_text",
         [
-            ("--normalization", lambda m: json.dumps({**m["normalization"], "std": 0.0})),
-            ("--normalization",
-             lambda m: json.dumps({k: v for k, v in m["normalization"].items() if k != "std"})),
-            ("--normalization", lambda m: "{not json"),
+            ("--model", lambda m: with_normalization(m, std=0.0)),
+            ("--warm-start", lambda m: json.dumps(
+                {**m, "normalization": {k: v for k, v in m["normalization"].items()
+                                        if k != "std"}})),
+            ("--warm-start", lambda m: "{not json"),
             ("--model", lambda m: json.dumps({k: v for k, v in m.items() if k != "p"})),
             ("--warm-start", lambda m: json.dumps({**m, "u": m["u"][:-1]})),
             ("--model", lambda m: json.dumps({**m, "normalization": None})),
             ("--model", lambda m: json.dumps({**m, "u": [NAN] + m["u"][1:]})),
             ("--warm-start", lambda m: json.dumps({**m, "u": [NAN] + m["u"][1:]})),
-            ("--normalization", lambda m: json.dumps(
-                {**m["normalization"], "row_means": [NAN] + m["normalization"]["row_means"][1:]})),
+            ("--model", lambda m: with_normalization(
+                m, row_means=[NAN] + m["normalization"]["row_means"][1:])),
             ("--model", lambda m: json.dumps({**m, "n": -1})),
-            ("--normalization", lambda m: json.dumps(
-                {**m["normalization"], "col_means": m["normalization"]["col_means"][:-1]})),
+            ("--model", lambda m: with_normalization(
+                m, col_means=m["normalization"]["col_means"][:-1])),
             ("--warm-start", lambda m: json.dumps({**m, "k": 2, "u": m["u"] * 2, "v": m["v"] * 2})),
             ("--warm-start", lambda m: json.dumps({**m, "p": m["p"] - 1, "c": m["c"][:-1],
                                                    "v": m["v"][:-1]})),
@@ -590,14 +603,16 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({**m, "n": m["n"] + 0.9})),
             ("--model", lambda m: json.dumps({**m, "k": True})),
             ("--warm-start", lambda m: json.dumps({**m, "p": str(m["p"])})),
-            ("--normalization", lambda m: json.dumps(
-                {**m["normalization"], "row_means": [m["normalization"]["row_means"]]})),
+            ("--warm-start", lambda m: with_normalization(
+                m, row_means=[m["normalization"]["row_means"]])),
+            ("--model", lambda m: with_normalization(m, row_means=[0.0], col_means=[0.0, 0.0])),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
-             "model-n-negative", "sidecar-col-means-short", "warm-start-rank-2",
+             "model-n-negative", "normalization-col-means-short", "warm-start-rank-2",
              "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
-             "model-k-true", "warm-start-p-string", "sidecar-row-means-nested"],
+             "model-k-true", "warm-start-p-string", "normalization-row-means-nested",
+             "normalization-one-row-mean"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"
@@ -629,7 +644,7 @@ class TestExitCodes:
                         "--max-iters", 5, "--output-dir", sweep_dir]) == 0
             assert read_manifest(sweep_dir / "sweep_summary.csv")["config"]["orient_pivot"] == pivot
 
-    @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest", "normalization"])
+    @pytest.mark.parametrize("command", ["fit", "expectiles", "icc", "ingest", "warm-start"])
     def test_non_utf8_input_is_two_naming_file(self, tmp_path, capsys, command):
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"1,2\n3,\xff\n")
@@ -638,7 +653,7 @@ class TestExitCodes:
         out = tmp_path / "out"
         argv = {
             "fit": ["fit", "--input", bad, "--output", out],
-            "normalization": ["fit", "--input", good, "--normalization", bad, "--output", out],
+            "warm-start": ["fit", "--input", good, "--warm-start", bad, "--output", out],
             "expectiles": ["expectiles", "--input", bad, "--out", out],
             "icc": ["icc", "--input", bad, "--out", out],
             "ingest": ["ingest", "--input", bad, "--output", out, "--labels", tmp_path / "l.csv"],

@@ -10,6 +10,7 @@ from expectile_mf import (
     ExpectileMFError,
     MaskedMatrix,
     NormalizationInfo,
+    Objective,
     ParseError,
     drop_sparse_columns,
     global_stats,
@@ -215,6 +216,28 @@ class TestSentinelIndependence:
         assert np.array_equal(ia.row_means, ib.row_means)
 
 
+class TestLayout:
+    # A reduction over a Fortran-ordered matrix runs in another order than over its C copy
+    # and can round differently, so MaskedMatrix stores both arrays in C order.
+    def test_fortran_input_gives_the_bits_of_its_c_copy(self, rng):
+        x = random_masked(rng, 40, 60, missing=0.7)
+        f = MaskedMatrix(np.asfortranarray(x.values), np.asfortranarray(x.mask))
+        assert f.values.flags.c_contiguous and f.mask.flags.c_contiguous
+        (xn, info), (fn, f_info) = normalize(x), normalize(f)
+        for a, b in ((info.row_means, f_info.row_means), (info.col_means, f_info.col_means),
+                     (xn.values, fn.values)):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        assert (info.mean, info.std) == (f_info.mean, f_info.std)
+        params = rng.normal(size=(40 + 60) * 2)
+        loss, grad = Objective(xn, 0.3, 1)(params)
+        f_loss, f_grad = Objective(fn, 0.3, 1)(params)
+        assert loss == f_loss and np.array_equal(grad.view(np.int64), f_grad.view(np.int64))
+
+    def test_dropped_columns_stay_c_contiguous(self, rng):
+        kept_x, _ = drop_sparse_columns(random_masked(rng, 20, 30, missing=0.5), 0.5)
+        assert kept_x.values.flags.c_contiguous and kept_x.mask.flags.c_contiguous
+
+
 class TestDropSparseColumns:
     def test_threshold_application(self):
         # missing fractions 0.0, 0.8, 0.5 per column
@@ -292,6 +315,14 @@ class TestMatrixCsv:
             read_matrix_csv(path)
         assert err.value.line_number == 4
         assert "column 3" in str(err.value)
+
+    def test_whitespace_only_line_is_blank(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1,2\n  \n3,4\n")
+        assert read_matrix_csv(path).values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        # so in a one-column matrix such a line is no cell at all; a missing cell is "nan"
+        path.write_text("1\n \nnan\n2\n")
+        assert read_matrix_csv(path).mask.tolist() == [[True], [False], [True]]
 
     def test_ragged_rows_rejected(self, tmp_path):
         path = tmp_path / "m.csv"
