@@ -37,6 +37,7 @@ from .ingest import SEGMENTS_PER_DAY, bin_records, read_records_csv
 from .masked import (
     csv_records,
     drop_sparse_columns,
+    naming,
     normalize,
     open_input,
     read_matrix_csv,
@@ -190,6 +191,13 @@ def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iter
     )
 
 
+def _read_normalized(path):
+    """The matrix CSV at path, normalized; a data error names the file."""
+    x = read_matrix_csv(path)
+    with naming(path):
+        return normalize(x)
+
+
 def _write_fit(model_path, report_path, tau, report: FitReport, info) -> list[Path]:
     """Write a fit's model and report JSONs (warning on stderr if unconverged); return both."""
     _write_json(model_path, model_to_dict(report.model, tau, info))
@@ -222,7 +230,7 @@ _fit_options = [
 def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, orient_pivot,
             tau, warm_start_path, output):
     """Fit one model; writes model JSON plus a report JSON."""
-    x, info = normalize(read_matrix_csv(input_path))
+    x, info = _read_normalized(input_path)
     warm = None
     if warm_start_path is not None:
         with open_input(warm_start_path) as fh:
@@ -248,10 +256,9 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
     for i, tau in enumerate(tau_values):
         for other in tau_values[:i]:
             if f"{other:g}" == f"{tau:g}":
-                raise click.UsageError(
-                    f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
+                raise ValueError(f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
         check_tau(tau)
-    x, info = normalize(read_matrix_csv(input_path))
+    x, info = _read_normalized(input_path)
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
     out_dir = Path(output_dir)
@@ -292,7 +299,8 @@ def expectiles(input_path, taus, out):
     """Marginal expectile curves per matrix row (long CSV: row_index, tau, expectile)."""
     tau_values = _parse_list(taus, float)
     x = read_matrix_csv(input_path)
-    curves = marginal_expectile_curves(x, tau_values)
+    with naming(input_path):
+        curves = marginal_expectile_curves(x, tau_values)
     rows = [
         [i, tau_values[j], curves[i, j]]
         for i in range(curves.shape[0])
@@ -342,7 +350,8 @@ def ingest(input_path, output, labels_path, max_missing, person_col, time_col, b
     the person-days missing more than --max-missing of their segments."""
     records = read_records_csv(input_path, person_col=person_col, time_col=time_col, bpm_col=bpm_col)
     pdm = bin_records(records)
-    x, kept = drop_sparse_columns(pdm.matrix, max_missing)
+    with naming(input_path):
+        x, kept = drop_sparse_columns(pdm.matrix, max_missing)
     write_matrix_csv(x, output)
     _write_csv(
         Path(labels_path),
@@ -437,7 +446,7 @@ def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
 def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
                    max_iters, seed, out_loss_csv, out_mad_csv):
     """Pairwise loss gaps and fitted-matrix MADs across random initializations."""
-    x, _ = normalize(read_matrix_csv(input_path))
+    x, _ = _read_normalized(input_path)
     config = FitConfig(
         tau=tau, k=rank,
         opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
@@ -514,9 +523,9 @@ def main(argv=None) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         except ValueError as exc:
-            # A bad option value (rejected by check_tau, the config types or
-            # the pivot range check) is a ValueError; bad data is an
-            # ExpectileMFError.
+            # A bad option value (rejected by check_tau, the config types,
+            # the pivot range check or tau-sweep's collision check) is a
+            # ValueError; bad data is an ExpectileMFError.
             print(f"Error: {exc}", file=sys.stderr)
             return 1
 

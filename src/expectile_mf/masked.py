@@ -4,8 +4,9 @@ The mask is authoritative: values stored at unobserved cells are sentinels
 that no operation reads. All statistics and normalization here are
 missing-aware. Also holds the CSV wire format for matrices (missing cells
 written as "nan", parsed from "nan" or an empty field, case-insensitive),
-and the input boundary: open_input opens every file the package reads, and
-csv_records is the one place where CSV records and their lines are read.
+and the input boundary: open_input opens every file the package reads,
+naming prefixes a data error with the file it came from, and csv_records is
+the one place where CSV records and their lines are read.
 """
 
 from __future__ import annotations
@@ -192,23 +193,34 @@ def write_matrix_csv(x: MaskedMatrix, path) -> None:
 
 
 @contextmanager
+def naming(path):
+    """Prefix the message of a data error raised inside with path. Other errors,
+    such as a bad option value's ValueError, pass unchanged. Never wrap a
+    reader in it: open_input already names the file, which would print twice."""
+    try:
+        yield
+    except ExpectileMFError as exc:
+        exc.args = (f"{path}: {exc}",)
+        raise
+
+
+@contextmanager
 def open_input(path):
     """Open a UTF-8 text input, CSV or JSON. Bytes that do not decode, a CSV
     record the csv module rejects, a document's KeyError, TypeError or
     ValueError, and every data error raised while it is open, are data errors
-    naming the file."""
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            yield fh
-    except UnicodeDecodeError as exc:
-        raise ExpectileMFError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise ExpectileMFError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ExpectileMFError(f"{path}: {type(exc).__name__}: {exc}") from None
-    except ExpectileMFError as exc:
-        exc.args = (f"{path}: {exc}",)
-        raise
+    naming the file. A check on the values read that runs after the file is
+    closed names it through naming(path)."""
+    with naming(path):
+        try:
+            with open(path, "r", encoding="utf-8", newline="") as fh:
+                yield fh
+        except UnicodeDecodeError as exc:
+            raise ExpectileMFError(f"not UTF-8 text: {exc}") from None
+        except csv.Error as exc:
+            raise ExpectileMFError(str(exc)) from None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ExpectileMFError(f"{type(exc).__name__}: {exc}") from None
 
 
 def csv_records(fh):

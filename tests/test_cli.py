@@ -152,13 +152,16 @@ class TestConvergenceWarning:
 
 
 class TestTauSweep:
-    @pytest.mark.parametrize("taus", ["0.1,0.1000001", "0.5,0.1,0.5"])
-    def test_colliding_output_names_are_one(self, sim_csv, tmp_path, capsys, taus):
+    @pytest.mark.parametrize("taus, message", [
+        ("0.1,0.1000001", "taus 0.1 and 0.1000001 both write model_tau0.1.json"),
+        ("0.5,0.1,0.5", "taus 0.5 and 0.5 both write model_tau0.5.json"),
+    ], ids=["0.1,0.1000001", "0.5,0.1,0.5"])
+    def test_colliding_output_names_are_one(self, sim_csv, tmp_path, capsys, taus, message):
         out_dir = tmp_path / "sweep"
         capsys.readouterr()
         assert run(["tau-sweep", "--input", sim_csv, "--taus", taus,
                     "--output-dir", out_dir]) == 1
-        assert "both write model_tau" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"Error: {message}\n"
         assert not out_dir.exists()
 
     def test_output_dir_on_a_file_fails_before_fitting(self, sim_csv, tmp_path, monkeypatch,
@@ -273,6 +276,36 @@ class TestIngestCommand:
         label_lines = labels.read_text().splitlines()
         assert label_lines[0] == "column_index,person_id,date"
         assert len(label_lines) == 3
+
+    def test_record_order_does_not_change_outputs(self, tmp_path):
+        # Every tenth segment holds two readings, so its median is their midpoint.
+        rows = []
+        for day in (1, 2):
+            for seg in range(0, 288, 2):
+                h, m = divmod(seg * 5, 60)
+                rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m:02d}:30,{60 + seg % 40}")
+                if seg % 20 == 0:
+                    rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m + 1:02d}:45,{61 + seg % 40}")
+        outputs = []
+        for name, records in (("forward", rows), ("reversed", rows[::-1])):
+            out = tmp_path / name
+            out.mkdir()
+            (out / "hr.csv").write_text("\n".join(["person_id,timestamp,bpm", *records]) + "\n")
+            assert run(["ingest", "--input", out / "hr.csv", "--output", out / "matrix.csv",
+                        "--labels", out / "labels.csv"]) == 0
+            outputs.append([(out / f).read_bytes() for f in ("matrix.csv", "labels.csv")])
+        assert outputs[0] == outputs[1]
+        assert read_matrix_csv(tmp_path / "forward" / "matrix.csv").values[0, 0] == 60.5
+
+    def test_bad_max_missing_is_one(self, tmp_path, capsys):
+        records = tmp_path / "hr.csv"
+        write_records(records)
+        out = tmp_path / "matrix.csv"
+        capsys.readouterr()
+        assert run(["ingest", "--input", records, "--output", out,
+                    "--labels", tmp_path / "labels.csv", "--max-missing", 1.5]) == 1
+        assert capsys.readouterr().err == "Error: max_missing_fraction must be in (0, 1)\n"
+        assert not out.exists()
 
     def test_fit_of_ingest_output_records_bpm_scale(self, tmp_path):
         records = tmp_path / "hr.csv"
@@ -490,15 +523,31 @@ class TestExitCodes:
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30," + "7" * 131_073 + "\n",
              "field larger than field limit (131072)"),
+            # a check on the values that runs after the reader returns names the file too
+            (["fit", "--output", "model.json"], "5,5\n5,5\n",
+             "observed entries have zero variance"),
+            (["tau-sweep", "--output-dir", "sweep"], "5,5\n5,5\n",
+             "observed entries have zero variance"),
+            (["bench", "resilience", "--out-loss-csv", "loss.csv", "--out-mad-csv", "mad.csv"],
+             "5,5\n5,5\n", "observed entries have zero variance"),
+            (["fit", "--output", "model.json"], "1,nan\nnan,nan\n",
+             "need >= 2 observed entries, have 1"),
+            (["expectiles", "--out", "curves.csv"], "1,2\nnan,nan\n",
+             "row 1 has no observed entries"),
+            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+             "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,60\np1,2016-04-02T00:00:30,60\n",
+             "no column has enough observed entries"),
         ],
         ids=["matrix", "records", "icc", "matrix-multi-line", "icc-multi-line", "matrix-empty",
-             "records-empty", "records-header-only", "matrix-field-limit", "records-field-limit"],
+             "records-empty", "records-header-only", "matrix-field-limit", "records-field-limit",
+             "fit-zero-variance", "tau-sweep-zero-variance", "resilience-zero-variance",
+             "fit-one-observed", "expectiles-empty-row", "ingest-all-sparse"],
     )
     def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
-        assert run(command[:1] + ["--input", bad] + command[1:]) == 2
+        assert run(command + ["--input", bad]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert list(tmp_path.iterdir()) == [bad]
 
