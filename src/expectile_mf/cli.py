@@ -261,18 +261,9 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
     x, info = _read_normalized(input_path)
     config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
                          orient_pivot)
+    reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     out_dir = Path(output_dir)
-    # The directory is made before any fit, so a bad path fails at once. No file is written
-    # until the last fit, so a failed fit, or a pivot out of range that the first fit rejects
-    # before optimizing, removes `made` and leaves nothing behind.
-    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
-    except BaseException:
-        for path in made:
-            path.rmdir()
-        raise
     outputs = []
     summary_rows = []
     for tau, report in zip(tau_values, reports):

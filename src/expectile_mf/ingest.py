@@ -28,17 +28,6 @@ class PersonDayMatrix:
     matrix: MaskedMatrix
     column_labels: tuple
 
-    def __post_init__(self):
-        if self.matrix.n_rows != SEGMENTS_PER_DAY:
-            raise ValueError(f"expected {SEGMENTS_PER_DAY} rows, got {self.matrix.n_rows}")
-        if len(self.column_labels) != self.matrix.n_cols:
-            raise ValueError("one label per column required")
-        if len(set(self.column_labels)) != len(self.column_labels):
-            raise ValueError("column labels must be unique")
-        if self.matrix.n_cols and not self.matrix.mask.any(axis=0).all():
-            raise ValueError("every person-day column needs at least one observed segment")
-        object.__setattr__(self, "column_labels", tuple(self.column_labels))
-
 
 def segment_of(ts: datetime) -> int:
     """Five-minute segment index 0..287 from wall-clock time of day."""

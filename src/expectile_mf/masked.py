@@ -206,14 +206,14 @@ def naming(path):
 
 @contextmanager
 def open_input(path):
-    """Open a UTF-8 text input, CSV or JSON. Bytes that do not decode, a CSV
-    record the csv module rejects, a document's KeyError, TypeError or
-    ValueError, and every data error raised while it is open, are data errors
-    naming the file. A check on the values read that runs after the file is
-    closed names it through naming(path)."""
+    """Open a UTF-8 text input, CSV or JSON; a leading byte-order mark is skipped.
+    Bytes that do not decode, a CSV record the csv module rejects, a document's
+    KeyError, TypeError or ValueError, and every data error raised while it is
+    open, are data errors naming the file. A check on the values read that runs
+    after the file is closed names it through naming(path)."""
     with naming(path):
         try:
-            with open(path, "r", encoding="utf-8", newline="") as fh:
+            with open(path, "r", encoding="utf-8-sig", newline="") as fh:
                 yield fh
         except UnicodeDecodeError as exc:
             raise ExpectileMFError(f"not UTF-8 text: {exc}") from None

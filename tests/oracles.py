@@ -8,9 +8,9 @@ csv_writer_write_matrix (the row-format matrix CSV writer).
 full_matrix_bfgs_update and DenseBfgsRule are the dense reference that the
 package's two-loop lbfgs and bfgs rules must match to rounding;
 ScalarLbfgsRule is the bit-exact reference for lbfgs from gamma*I, the form
-its diagonal scaling must reduce to at D = 1. The last four helpers
-are the gates' measuring tools: a central-difference gradient, the planted
-mean and noise level of a simulated matrix, and the loss-to-RMSE conversion.
+its diagonal scaling must reduce to at D = 1. The last three helpers
+are the gates' measuring tools: a central-difference gradient, and the
+planted mean and noise level of a simulated matrix.
 """
 
 import csv
@@ -331,8 +331,3 @@ def residual_noise_std(sim, info):
     """
     resid = (sim.x.values - mean_matrix(sim))[sim.x.mask]
     return float(np.std(resid) / info.std)
-
-
-def rmse_from_loss(loss, std):
-    """Original-scale RMSE implied by a tau = 0.5 loss on normalized data."""
-    return float(np.sqrt(2.0 * loss * std * std))

@@ -18,7 +18,7 @@ from expectile_mf import (
     rank_sweep,
 )
 from expectile_mf import analysis
-from oracles import icc_two_pass, rmse_from_loss
+from oracles import icc_two_pass
 
 
 class TestIcc:
@@ -63,16 +63,6 @@ class TestIcc:
     def test_needs_two_groups(self):
         with pytest.raises(ExpectileMFError, match="^need at least 2 distinct groups, got 1$"):
             icc([1.0, 2.0], ["a", "a"])
-
-
-class TestRmseFromLoss:
-    def test_symbolic_points(self):
-        for loss, std in [(0.2658, 16.0), (0.5, 1.0), (0.125, 4.0)]:
-            assert rmse_from_loss(loss, std) == float(np.sqrt(2.0 * loss * std * std))
-
-    def test_reported_heart_rate_scale(self):
-        # exact value 11.6657...; the published figure rounds it to 11.667
-        assert abs(rmse_from_loss(0.2658, 16.0) - 11.667) < 5e-3
 
 
 class TestBandCurves:

@@ -152,24 +152,7 @@ class TestConvergenceWarning:
 
 
 class TestTauSweep:
-    @pytest.mark.parametrize("taus, message", [
-        ("0.1,0.1000001", "taus 0.1 and 0.1000001 both write model_tau0.1.json"),
-        ("0.5,0.1,0.5", "taus 0.5 and 0.5 both write model_tau0.5.json"),
-    ], ids=["0.1,0.1000001", "0.5,0.1,0.5"])
-    def test_colliding_output_names_are_one(self, sim_csv, tmp_path, capsys, taus, message):
-        out_dir = tmp_path / "sweep"
-        capsys.readouterr()
-        assert run(["tau-sweep", "--input", sim_csv, "--taus", taus,
-                    "--output-dir", out_dir]) == 1
-        assert capsys.readouterr().err == f"Error: {message}\n"
-        assert not out_dir.exists()
-
-    def test_output_dir_on_a_file_fails_before_fitting(self, sim_csv, tmp_path, monkeypatch,
-                                                       capsys):
-        def no_fits(*args, **kwargs):
-            raise AssertionError("tau_sweep ran before the output directory was made")
-
-        monkeypatch.setattr("expectile_mf.cli.tau_sweep", no_fits)
+    def test_output_dir_on_a_file_is_two_and_writes_nothing(self, sim_csv, tmp_path, capsys):
         taken = tmp_path / "taken.csv"
         taken.write_text("")
         capsys.readouterr()
@@ -178,9 +161,9 @@ class TestTauSweep:
         assert not list(tmp_path.rglob("model_tau*.json"))
 
     @pytest.mark.parametrize("existing", [False, True], ids=["made", "existing"])
-    def test_failed_sweep_removes_only_directories_it_made(self, sim_csv, tmp_path, capsys,
-                                                           existing):
-        # The first fit rejects the pivot after the output directory is made.
+    def test_failed_sweep_makes_no_directory(self, sim_csv, tmp_path, capsys, existing):
+        # The first fit rejects the pivot, so no directory is made and one that
+        # already existed is kept.
         out_dir = tmp_path / "out" / "sweep"
         if existing:
             out_dir.mkdir(parents=True)
@@ -226,16 +209,6 @@ class TestIccCommand:
         assert doc["icc"] == 1.0
         assert doc["n_groups"] == 2
 
-    @pytest.mark.parametrize("text, n_groups", [("", 0), ("a,1\na,2\n", 1)],
-                             ids=["empty", "one-group"])
-    def test_fewer_than_two_groups_is_two(self, tmp_path, capsys, text, n_groups):
-        data = tmp_path / "grouped.csv"
-        data.write_text(text)
-        out = tmp_path / "icc.json"
-        assert run(["icc", "--input", data, "--out", out]) == 2
-        assert f"{data}: need at least 2 distinct groups, got {n_groups}" in capsys.readouterr().err
-        assert not out.exists()
-
     # group ids are CSV fields: quoted ones may hold a comma, and surrounding whitespace is
     # not part of the id
     @pytest.mark.parametrize("text", ['"Smith, J",1\n"Smith, J",1\n"Doe, A",2\n"Doe, A",2\n',
@@ -247,15 +220,6 @@ class TestIccCommand:
         out = tmp_path / "icc.json"
         assert run(["icc", "--input", data, "--out", out]) == 0
         assert json.loads(out.read_text()) == {"icc": 1.0, "n_values": 4, "n_groups": 2}
-
-    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
-    def test_non_finite_value_is_two_naming_line(self, tmp_path, capsys, cell):
-        data = tmp_path / "grouped.csv"
-        data.write_text(f"a,1\nb,{cell}\na,2\nb,3\n")
-        out = tmp_path / "icc.json"
-        assert run(["icc", "--input", data, "--out", out]) == 2
-        assert f"line 2: non-finite value {float(cell)!r}" in capsys.readouterr().err
-        assert not out.exists()
 
 
 class TestIngestCommand:
@@ -483,24 +447,9 @@ class TestManifest:
 
 
 class TestExitCodes:
-    def test_usage_error_is_one(self):
-        assert run(["fit", "--no-such-flag"]) == 1
-
-    def test_unknown_subcommand_is_one(self):
-        assert run(["frobnicate"]) == 1
-
-    def test_data_error_is_two(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("5,5\n5,5\n")  # zero variance: normalization must fail
-        out = tmp_path / "model.json"
-        assert run(["fit", "--input", bad, "--output", out]) == 2
-
-    def test_non_finite_cell_is_two_with_location(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1,2\n3,inf\n")
-        assert run(["fit", "--input", bad, "--output", tmp_path / "model.json"]) == 2
-        assert "line 2: column 2: non-finite value inf" in capsys.readouterr().err
-
+    # Each error class has one table: a data error exits 2 naming the file, a bad
+    # option value exits 1 with one Error: line, and an option that does not parse
+    # exits 1 with click's usage text. No row writes anything.
     @pytest.mark.parametrize(
         "command, text, message",
         [
@@ -510,6 +459,14 @@ class TestExitCodes:
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,70\np1,2016-04-01T00:05:30,0\n",
              "line 3: bpm must be finite and positive, got 0.0"),
             (["icc", "--out", "icc.json"], "a,1\nb,x\n", "line 2: bad value 'x'"),
+            (["icc", "--out", "icc.json"], "a,1\nb,nan\na,2\nb,3\n",
+             "line 2: non-finite value nan"),
+            (["icc", "--out", "icc.json"], "a,1\nb,inf\na,2\nb,3\n",
+             "line 2: non-finite value inf"),
+            (["icc", "--out", "icc.json"], "a,1\nb,-inf\na,2\nb,3\n",
+             "line 2: non-finite value -inf"),
+            (["expectiles", "--out", "curves.csv"], "1,2\n3,oops\n",
+             "line 2: not a number: 'oops'"),
             (["fit", "--output", "model.json"], '1,2\n"3\n",5\n6,x\n',
              "line 4: not a number: 'x'"),
             (["icc", "--out", "icc.json"], 'a,1\n"b\nc",2,3\nd,4\n',
@@ -526,6 +483,8 @@ class TestExitCodes:
             # a check on the values that runs after the reader returns names the file too
             (["fit", "--output", "model.json"], "5,5\n5,5\n",
              "observed entries have zero variance"),
+            (["fit", "--output", "model.json"], "1e308,-1e308\n1e308,-1e308\n",
+             "observed entries overflow: mean 0.0, std inf"),
             (["tau-sweep", "--output-dir", "sweep"], "5,5\n5,5\n",
              "observed entries have zero variance"),
             (["bench", "resilience", "--out-loss-csv", "loss.csv", "--out-mad-csv", "mad.csv"],
@@ -537,24 +496,24 @@ class TestExitCodes:
             (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,60\np1,2016-04-02T00:00:30,60\n",
              "no column has enough observed entries"),
+            (["icc", "--out", "icc.json"], "", "need at least 2 distinct groups, got 0"),
+            (["icc", "--out", "icc.json"], "a,1\na,2\n", "need at least 2 distinct groups, got 1"),
+            (["icc", "--out", "icc.json"], "a,1\nb,1\n", "values have zero variance"),
         ],
-        ids=["matrix", "records", "icc", "matrix-multi-line", "icc-multi-line", "matrix-empty",
+        ids=["matrix", "records", "icc", "icc-nan", "icc-inf", "icc-minus-inf",
+             "expectiles-bad-cell", "matrix-multi-line", "icc-multi-line", "matrix-empty",
              "records-empty", "records-header-only", "matrix-field-limit", "records-field-limit",
-             "fit-zero-variance", "tau-sweep-zero-variance", "resilience-zero-variance",
-             "fit-one-observed", "expectiles-empty-row", "ingest-all-sparse"],
+             "fit-zero-variance", "fit-overflow", "tau-sweep-zero-variance",
+             "resilience-zero-variance", "fit-one-observed", "expectiles-empty-row",
+             "ingest-all-sparse", "icc-no-groups", "icc-one-group", "icc-zero-variance"],
     )
-    def test_parse_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
+    def test_data_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)
         bad = tmp_path / "bad.csv"
         bad.write_text(text)
         assert run(command + ["--input", bad]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert list(tmp_path.iterdir()) == [bad]
-
-    def test_overflowing_std_is_two(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1e308,-1e308\n1e308,-1e308\n")
-        assert run(["fit", "--input", bad, "--output", tmp_path / "model.json"]) == 2
 
     def test_warm_start_with_restarts_is_one(self, sim_csv, tmp_path):
         first = tmp_path / "m1.json"
@@ -564,9 +523,10 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "m2.json").exists()
 
-    # check_tau, each config type (SimulationSpec, FitConfig, OptimizeOptions)
-    # and the pivot range check reject a bad option value with ValueError,
-    # which main reports as a usage error before any output is written.
+    # check_tau, each config type (SimulationSpec, FitConfig, OptimizeOptions),
+    # the pivot range check and tau-sweep's collision check reject a bad option
+    # value with ValueError, which main reports as a usage error before any
+    # output is written.
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -611,12 +571,17 @@ class TestExitCodes:
              "tau must be in (0, 1), got 1.5"),
             (["simulate", "--rows", 5, "--cols", 5, "--sigma", "inf", "--out", "out.csv"],
              "sigma must be finite and >= 0, got inf"),
+            (["tau-sweep", "--input", "X.csv", "--taus", "0.1,0.1000001", "--output-dir", "out"],
+             "taus 0.1 and 0.1000001 both write model_tau0.1.json"),
+            (["tau-sweep", "--input", "X.csv", "--taus", "0.5,0.1,0.5", "--output-dir", "out"],
+             "taus 0.5 and 0.5 both write model_tau0.5.json"),
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
              "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
              "rank-sweep-repeated-algorithms", "resilience", "expectiles",
              "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
-             "tau-sweep-tau", "simulate-sigma-inf"],
+             "tau-sweep-tau", "simulate-sigma-inf", "tau-sweep-colliding-taus",
+             "tau-sweep-repeated-taus"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -625,6 +590,39 @@ class TestExitCodes:
         assert run(argv) == 1
         err = capsys.readouterr().err
         assert err == f"Error: {message}\n"
+        assert set(tmp_path.iterdir()) == before
+
+    # An option that does not parse (click's own checks, and the package's list
+    # parsers, which raise click.UsageError) gets click's usage text. Click words
+    # its own messages differently across versions, so only the package's are exact.
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fit", "--no-such-flag"], None),
+            (["frobnicate"], None),
+            (["tau-sweep", "--input", "X.csv", "--taus", "x", "--output-dir", "out"],
+             "expected comma-separated floats, got 'x'"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", 1.5, "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"],
+             "expected comma-separated ints, got '1.5'"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,foo",
+              "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
+             "unknown algorithm 'foo'; pick from ('bfgs', 'lbfgs', 'cg')"),
+        ],
+        ids=["unknown-option", "unknown-command", "tau-sweep-taus", "rank-sweep-ranks",
+             "rank-sweep-algorithms"],
+    )
+    def test_malformed_option_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv,
+                                     message):
+        monkeypatch.chdir(tmp_path)
+        before = set(tmp_path.iterdir())
+        capsys.readouterr()
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("Usage: ")
+        assert err.splitlines()[-1].startswith("Error: ")
+        if message is not None:
+            assert err.splitlines()[-1] == f"Error: {message}"
         assert set(tmp_path.iterdir()) == before
 
     @pytest.mark.parametrize(
@@ -712,17 +710,36 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text: ")
         assert not out.exists()
 
-    def test_zero_variance_icc_is_two_naming_file(self, tmp_path, capsys):
-        data = tmp_path / "grouped.csv"
-        data.write_text("a,1\nb,1\n")
-        out = tmp_path / "icc.json"
-        capsys.readouterr()
-        assert run(["icc", "--input", data, "--out", out]) == 2
-        assert capsys.readouterr().err == f"error: {data}: values have zero variance\n"
-        assert not out.exists()
 
-    def test_parse_error_is_two(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("1,2\n3,oops\n")
-        out = tmp_path / "curves.csv"
-        assert run(["expectiles", "--input", bad, "--out", out]) == 2
+class TestByteOrderMark:
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark; every input
+    # reads as the same file without it.
+    @pytest.mark.parametrize("command", ["icc", "expectiles", "ingest", "band-curves"])
+    def test_leading_mark_is_skipped(self, sim_csv, tmp_path, command):
+        if command == "band-curves":
+            model_path = tmp_path / "model.json"
+            assert run(["fit", "--input", sim_csv, "--max-iters", 20, "--output", model_path]) == 0
+            text = model_path.read_text()
+        elif command == "ingest":
+            write_records(tmp_path / "hr.csv")
+            text = (tmp_path / "hr.csv").read_text()
+        else:
+            text = {"icc": "a,1\na,2\nb,5\nb,6\n", "expectiles": "1,2\n3,nan\n"}[command]
+        outputs = []
+        for name, prefix in (("plain", ""), ("bom", "\ufeff")):
+            out = tmp_path / name
+            out.mkdir()
+            source = out / "input"
+            source.write_text(prefix + text, encoding="utf-8")
+            argv = {
+                "icc": ["icc", "--input", source, "--out", out / "out"],
+                "expectiles": ["expectiles", "--input", source, "--out", out / "out"],
+                "ingest": ["ingest", "--input", source, "--output", out / "out",
+                           "--labels", out / "labels.csv"],
+                "band-curves": ["band-curves", "--model", source, "--out", out / "out"],
+            }[command]
+            assert run(argv) == 0
+            outputs.append((out / "out").read_bytes())
+        assert outputs[0] == outputs[1]
+        if command == "icc":
+            assert json.loads(outputs[1])["icc"] == 0.9411764705882353

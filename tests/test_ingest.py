@@ -11,9 +11,7 @@ from hypothesis import strategies as st
 
 from expectile_mf import (
     ExpectileMFError,
-    MaskedMatrix,
     ParseError,
-    PersonDayMatrix,
     bin_records,
     filter_and_normalize,
     read_records_csv,
@@ -188,12 +186,6 @@ class TestBinRecords:
         ]
         pdm = bin_records(records)
         assert pdm.matrix.observed_count() == 10
-
-    def test_person_day_matrix_rejects_empty_column(self):
-        values = np.zeros((SEGMENTS_PER_DAY, 1))
-        mask = np.zeros((SEGMENTS_PER_DAY, 1), dtype=bool)
-        with pytest.raises(ValueError):
-            PersonDayMatrix(MaskedMatrix(values, mask), (("p1", "2016-04-01"),))
 
     def test_empty_stream(self):
         with pytest.raises(ExpectileMFError, match="^no heart-rate records$"):
