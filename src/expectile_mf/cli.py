@@ -7,7 +7,8 @@ what it reads, and a model JSON records that normalization. Outputs carry
 17 significant digits, and a manifest JSON next to the primary output
 records every option as parsed, the values resolved from the input, the
 seed and the input files. Exit codes: 0 success, 1 usage error,
-2 data or convergence error.
+2 data error. A fit that does not converge exits 0 and prints one
+warning: line.
 """
 
 from __future__ import annotations
@@ -499,7 +500,8 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    """Entry point with spec'd exit codes (0 ok, 1 usage, 2 data/convergence)."""
+    """Entry point with spec'd exit codes: 0 ok, also for a fit that does not
+    converge; 1 usage error; 2 data error."""
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:

@@ -6,12 +6,14 @@ missing-aware. Also holds the CSV wire format for matrices (missing cells
 written as "nan", parsed from "nan" or an empty field, case-insensitive),
 and the input boundary: open_input opens every file the package reads,
 naming prefixes a data error with the file it came from, and csv_records is
-the one place where CSV records and their lines are read.
+the one place where CSV records and their lines are read, apart from
+read_matrix_csv's one np.loadtxt pass over a plain numeric matrix.
 """
 
 from __future__ import annotations
 
 import csv
+import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -236,37 +238,77 @@ def csv_records(fh):
 
 
 def read_matrix_csv(path) -> MaskedMatrix:
+    """Read a matrix CSV. A plain numeric matrix, which is what write_matrix_csv
+    writes, is parsed by np.loadtxt in one pass; any input that pass cannot be
+    trusted on goes to the located reader, which gives the same arrays and
+    writes every error message."""
+    with open_input(path) as fh:
+        if not fh.seekable():  # a pipe cannot be read a second time
+            return _read_matrix_located(fh)
+        misread = []
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # an empty input only warns
+                arr = np.loadtxt(_noting_misreads(fh, misread), delimiter=",",
+                                 comments=None, ndmin=2)
+        except (ValueError, Warning):
+            arr = None
+        # An infinite cell ("inf", "1e999") is an error that only the located reader
+        # names by line. loadtxt raises on every other input that the located reader
+        # reads differently; tests/test_masked.py checks this on generated text.
+        if arr is None or misread or np.isinf(arr).any():
+            fh.seek(0)
+            return _read_matrix_located(fh)
+    missing = np.isnan(arr)
+    return MaskedMatrix(np.where(missing, 0.0, arr), ~missing)
+
+
+def _noting_misreads(lines, seen: list):
+    """Yield lines unchanged, appending True to seen once a line holds what loadtxt
+    reads but the located reader does not read alike: "-nan" or "+nan" in any case,
+    which loadtxt reads as missing, or a field longer than the csv module's limit."""
+    limit = csv.field_size_limit()
+    for line in lines:
+        if not seen:
+            low = line.lower()
+            if "-nan" in low or "+nan" in low or (
+                    len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit):
+                seen.append(True)
+        yield line
+
+
+def _read_matrix_located(fh) -> MaskedMatrix:
+    """The per-cell matrix CSV reader: every error names its line."""
     values: list[list[float]] = []
     mask: list[list[bool]] = []
     line_numbers: list[int] = []
     width = None
-    with open_input(path) as fh:
-        for line_no, row in csv_records(fh):
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(line_no, f"expected {width} cells, got {len(row)}")
-            vrow, mrow = [], []
-            for cell in row:
-                text = cell.strip()
-                if text == "" or text.lower() == "nan":
-                    vrow.append(0.0)
-                    mrow.append(False)
-                    continue
-                try:
-                    vrow.append(float(text))
-                except ValueError:
-                    raise ParseError(line_no, f"not a number: {text!r}") from None
-                mrow.append(True)
-            values.append(vrow)
-            mask.append(mrow)
-            line_numbers.append(line_no)
-        if not values:
-            raise ExpectileMFError("no matrix rows found")
-        arr = np.array(values)
-        # One vectorized pass; missing cells already hold 0.0.
-        bad = np.argwhere(~np.isfinite(arr))
-        if bad.size:
-            i, j = bad[0]
-            raise ParseError(line_numbers[i], f"column {j + 1}: non-finite value {float(arr[i, j])!r}")
+    for line_no, row in csv_records(fh):
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ParseError(line_no, f"expected {width} cells, got {len(row)}")
+        vrow, mrow = [], []
+        for cell in row:
+            text = cell.strip()
+            if text == "" or text.lower() == "nan":
+                vrow.append(0.0)
+                mrow.append(False)
+                continue
+            try:
+                vrow.append(float(text))
+            except ValueError:
+                raise ParseError(line_no, f"not a number: {text!r}") from None
+            mrow.append(True)
+        values.append(vrow)
+        mask.append(mrow)
+        line_numbers.append(line_no)
+    if not values:
+        raise ExpectileMFError("no matrix rows found")
+    arr = np.array(values)
+    # One vectorized pass; missing cells already hold 0.0.
+    bad = np.argwhere(~np.isfinite(arr))
+    if bad.size:
+        i, j = bad[0]
+        raise ParseError(line_numbers[i], f"column {j + 1}: non-finite value {float(arr[i, j])!r}")
     return MaskedMatrix(arr, np.array(mask))

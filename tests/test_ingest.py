@@ -180,6 +180,26 @@ class TestBinRecords:
         assert np.array_equal(pdm.matrix.mask, mask)
         assert np.array_equal(pdm.matrix.values, values)
 
+    # One integer sort by cell * n_records + rank(bpm) orders the records; these pin the
+    # ties and neighbouring cells that key must keep apart.
+    @pytest.mark.parametrize("cells", [
+        {("p1", 1, 10): [72.5] * 5, ("p1", 2, 10): [72.5] * 4},
+        {(person, day, segment): [70.0, 70.0] if segment % 2 else [70.0]
+         for person in ("p1", "p2") for day in (1, 2, 3) for segment in range(0, 288, 7)},
+        {("p1", 1, 100): [60.0, 90.0, 70.0, 80.0], ("p1", 2, 100): [100.0, 50.0, 65.0],
+         ("p1", 1, 101): [55.0, 95.0]},
+    ], ids=["equal-readings-in-a-cell", "one-bpm-in-many-cells", "even-next-to-odd"])
+    def test_ties_and_neighbouring_cells_match_the_loop(self, cells, rng):
+        records = [(person, datetime(2016, 4, day) + timedelta(seconds=segment * 300 + i), bpm)
+                   for (person, day, segment), bpms in cells.items()
+                   for i, bpm in enumerate(bpms)]
+        records = [records[i] for i in rng.permutation(len(records))]
+        values, mask, labels = loop_bin_records(records)
+        pdm = bin_records(iter(records))
+        assert pdm.column_labels == labels
+        assert np.array_equal(pdm.matrix.mask, mask)
+        assert np.array_equal(pdm.matrix.values, values)
+
     def test_each_record_lands_in_one_cell(self, rng):
         records = [
             rec("p1", f"2016-04-01T{h:02d}:00:00", 60.0 + h) for h in range(10)

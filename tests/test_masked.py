@@ -1,8 +1,11 @@
+import csv
 import json
+import os
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -20,6 +23,7 @@ from expectile_mf import (
     read_matrix_csv,
     write_matrix_csv,
 )
+from expectile_mf.masked import _read_matrix_located, open_input
 from conftest import FINITE
 from oracles import csv_writer_write_matrix, loop_masked_stats
 
@@ -271,6 +275,33 @@ class TestDropSparseColumns:
             drop_sparse_columns(x, 1.5)
 
 
+# Matrix CSV text for the differential test: cells that np.loadtxt and the located reader
+# read alike, cells where they differ, and the line ends, BOM and blank lines around them.
+ODD_CELLS = ["nan", "NaN", "-nan", "+nan", "", " ", "inf", "-Infinity", "1e999", "1e-400",
+             '"1"', "1_000", "#", "\xa01.5", "\t3", "nan(1)"]
+NUMBER_TEXT = st.one_of(
+    FINITE.map(repr),
+    FINITE.map(lambda v: "%.17g" % v),
+    st.from_regex(r"-?[0-9]{1,30}\.[0-9]{20,60}(e-?[0-9]{1,3})?", fullmatch=True),
+)
+
+
+@st.composite
+def matrix_text(draw):
+    width = draw(st.integers(1, 4))
+    cell = st.one_of(NUMBER_TEXT, st.just("nan"))
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.sampled_from(ODD_CELLS))
+    row = st.lists(cell, min_size=width, max_size=width)
+    if draw(st.booleans()):
+        row = st.one_of(row, st.lists(cell, min_size=1, max_size=5))
+    lines = draw(st.lists(st.one_of(row.map(",".join), st.sampled_from(["", "  ", "\t"])),
+                          max_size=6))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return bom + end.join(lines) + (end if draw(st.booleans()) else "")
+
+
 class TestMatrixCsv:
     def test_round_trip(self, tmp_path, rng):
         x = random_masked(rng, 6, 5)
@@ -292,6 +323,68 @@ class TestMatrixCsv:
         back = read_matrix_csv(folder / "m.csv")
         assert np.array_equal(back.mask, mask)
         assert np.array_equal(back.values[mask].view(np.int64), values[mask].view(np.int64))
+
+    @settings(max_examples=400)
+    @given(text=matrix_text())
+    def test_loadtxt_path_agrees_with_the_located_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "differential.csv"
+        path.write_bytes(text.encode("utf-8"))
+        outcomes = []
+        for read in (lambda: read_matrix_csv(path), lambda: _located(path)):
+            try:
+                x = read()
+            except ExpectileMFError as exc:
+                outcomes.append((type(exc), str(exc)))
+            else:
+                outcomes.append((x.values.tobytes(), x.mask.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    def test_plain_matrix_is_read_in_one_pass(self, tmp_path, rng, monkeypatch):
+        x = random_masked(rng, 12, 7)
+        write_matrix_csv(x, tmp_path / "m.csv")
+
+        def located(fh):
+            raise AssertionError("a plain matrix reached the located reader")
+
+        monkeypatch.setattr("expectile_mf.masked._read_matrix_located", located)
+        got = read_matrix_csv(tmp_path / "m.csv")
+        assert got.values.tobytes() == x.values.tobytes()
+        assert np.array_equal(got.mask, x.mask)
+
+    def test_undecodable_bytes_after_plain_rows_match_the_located_reader(self, tmp_path):
+        # loadtxt meets the bad byte past the first decoded chunk and gives up; the located
+        # reader reads again from the start and names the same position.
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"1.5,2\n" * 3000 + b"3,\xff\n1,2\n")
+        with pytest.raises(ExpectileMFError) as err:
+            read_matrix_csv(path)
+        with pytest.raises(ExpectileMFError) as located_err:
+            _located(path)
+        assert str(err.value) == str(located_err.value)
+        assert ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff in position" in str(err.value)
+
+    def test_field_over_the_csv_limit_matches_the_located_reader(self, tmp_path):
+        # loadtxt reads a number of any length; the csv module rejects a longer field.
+        limit = csv.field_size_limit()
+        path = tmp_path / "m.csv"
+        path.write_text("1,1." + "0" * (limit - 2) + "\n2,3\n")  # a field at the limit
+        assert read_matrix_csv(path).values.tolist() == [[1.0, 1.0], [2.0, 3.0]]
+        path.write_text("1,1." + "0" * (limit - 1) + "\n2,3\n")
+        with pytest.raises(ExpectileMFError, match=r"field larger than field limit"):
+            read_matrix_csv(path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_piped_input_errors_name_their_line(self, tmp_path):
+        # A pipe cannot be read twice, so it goes to the located reader from the start.
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=("1,2\n3,inf\n",))
+        writer.start()
+        try:
+            with pytest.raises(ParseError, match=r"m\.fifo: line 2: column 2: non-finite value inf"):
+                read_matrix_csv(fifo)
+        finally:
+            writer.join()
 
     def test_missing_cell_spellings(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -329,3 +422,8 @@ class TestMatrixCsv:
         path.write_text("1,2\n3\n")
         with pytest.raises(ParseError):
             read_matrix_csv(path)
+
+
+def _located(path):
+    with open_input(path) as fh:
+        return _read_matrix_located(fh)

@@ -199,6 +199,38 @@ class TestTauSweep:
             tau_sweep(xn, info.row_means, info.col_means, FitConfig(), [])
 
 
+class TestTauMirror:
+    """fit(-X, 1 - tau) from the mirrored start (-r, -c, -u, v) is fit(X, tau) negated.
+
+    The loss weights a residual e by tau or 1 - tau as e >= 0 or e < 0, so negating the
+    data and the fitted matrix while swapping tau for 1 - tau maps the loss and gradient
+    onto themselves. Negation rounds exactly, so where 1 - (1 - tau) == tau the two fits
+    take the same steps bit for bit. 40 x 30 at k = 2 is one block of the loss kernel, and
+    288 x 400 runs in blocks of rows (model._BLOCK_CELLS).
+    """
+
+    @pytest.mark.parametrize("tau", [0.25, 0.9])
+    @pytest.mark.parametrize("rows, cols, k", [(40, 30, 2), (288, 400, 1)],
+                             ids=["one-block", "row-blocks"])
+    @pytest.mark.parametrize("algorithm", ["lbfgs", "bfgs", "cg"])
+    def test_mirrored_fit_is_the_negated_fit(self, algorithm, rows, cols, k, tau):
+        xn, info = small_normalized_data(seed=3, m=rows, n=cols, sigma=0.3, na=0.5)
+        neg = MaskedMatrix(-xn.values, xn.mask)
+        start = initial_model(info.row_means, info.col_means, k, seed=4)
+        mirrored_start = FactorModel(-start.r, -start.c, -start.u, start.v)
+        opts = OptimizeOptions(algorithm=algorithm)
+        report = fit(xn, info.row_means, info.col_means,
+                     FitConfig(tau=tau, k=k, opts=opts, warm_start=start))
+        mirrored = fit(neg, -info.row_means, -info.col_means,
+                       FitConfig(tau=1.0 - tau, k=k, opts=opts, warm_start=mirrored_start))
+        assert (mirrored.iterations, mirrored.function_evals, mirrored.final_loss) == (
+            report.iterations, report.function_evals, report.final_loss)
+        got, want = mirrored.model, report.model
+        for mirrored_part, part in ((got.r, -want.r), (got.c, -want.c), (got.u, -want.u),
+                                    (got.v, want.v)):
+            assert (mirrored_part == part).all()
+
+
 def normal_expectile(tau):
     """tau-expectile e of the standard normal: the root of
     tau * E[(Z - e)+] = (1 - tau) * E[(e - Z)+], with E[(Z - e)+] = phi(e) - e (1 - Phi(e))
