@@ -52,13 +52,13 @@ def icc(values, group_ids) -> float:
 def band_curves(model: FactorModel, info: NormalizationInfo):
     """(lower, center, upper) day curves for a rank-1 model.
 
-    center is the denormalized row effect; the half-width is the std of the
-    single v column times the denormalized u column, so upper - lower equals
-    twice that product.
+    center is the row effect on the data's original scale, mean + std * r;
+    the half-width is the std of the single v column times the u column
+    scaled by std, so upper - lower equals twice that product.
     """
     if model.k != 1:
         raise ExpectileMFError(f"band curves require k = 1, got k = {model.k}")
-    center = model.r * info.std
+    center = info.mean + info.std * model.r
     u_dn = model.u[:, 0] * info.std
     v_std = float(np.std(model.v[:, 0]))
     half = v_std * u_dn

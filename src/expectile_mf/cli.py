@@ -363,8 +363,6 @@ def band_curves_cmd(model_path, out):
     """Lower/center/upper day curves from a rank-1 model (long CSV: x, series, value)."""
     with open_input(model_path) as fh:
         model, _, info = model_from_dict(json.load(fh))
-        if info is None:
-            raise ExpectileMFError("carries no normalization info")
         lower, center, upper = band_curves(model, info)
     rows = []
     for name, curve in (("lower", lower), ("center", center), ("upper", upper)):

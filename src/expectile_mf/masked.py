@@ -1,8 +1,9 @@
 """Dense matrices with an explicit observation mask.
 
-The mask is authoritative: values stored at unobserved cells are sentinels
-that no operation reads. All statistics and normalization here are
-missing-aware. Also holds the CSV wire format for matrices (missing cells
+The mask is authoritative: a MaskedMatrix stores +0.0 at every unobserved
+cell, whatever its input held there, so a sum over its values is a sum over
+the observed cells. All statistics and normalization here are missing-aware.
+Also holds the CSV wire format for matrices (missing cells
 written as "nan", parsed from "nan" or an empty field, case-insensitive),
 and the input boundary: open_input opens every file the package reads,
 naming prefixes a data error with the file it came from, and csv_records is
@@ -34,14 +35,15 @@ def frozen_array(arr, dtype) -> np.ndarray:
 class MaskedMatrix:
     """n x p values plus a boolean mask, True where a cell is observed.
 
-    Observed cells must be finite; unobserved cells are not checked.
+    Observed cells must be finite; unobserved cells are not checked, and are
+    stored as +0.0. Both arrays are read-only and C-ordered.
     """
 
     values: np.ndarray
     mask: np.ndarray
 
     def __post_init__(self):
-        values = frozen_array(self.values, float)
+        values = np.asarray(self.values, dtype=float)
         mask = frozen_array(self.mask, bool)
         if values.ndim != 2:
             raise ExpectileMFError(f"values must be 2-D, got shape {values.shape}")
@@ -53,6 +55,8 @@ class MaskedMatrix:
         if not finite.all():
             i, j = divmod(int(np.flatnonzero(mask)[np.argmin(finite)]), values.shape[1])
             raise ExpectileMFError(f"observed cell ({i}, {j}) is {float(values[i, j])!r}")
+        values = np.ascontiguousarray(np.where(mask, values, 0.0))
+        values.setflags(write=False)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
 
@@ -101,25 +105,6 @@ class NormalizationInfo:
                 raise ValueError(f"{name} must be finite")
             object.__setattr__(self, name, means)
 
-    def to_dict(self) -> dict:
-        """JSON form, the model file's normalization block."""
-        return {
-            "mean": self.mean,
-            "std": self.std,
-            "row_means": self.row_means.tolist(),
-            "col_means": self.col_means.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "NormalizationInfo":
-        """Inverse of to_dict; raises KeyError, TypeError or ValueError on a bad document."""
-        return cls(
-            mean=float(doc["mean"]),
-            std=float(doc["std"]),
-            row_means=np.asarray(doc["row_means"], dtype=float),
-            col_means=np.asarray(doc["col_means"], dtype=float),
-        )
-
 
 def global_stats(x: MaskedMatrix) -> tuple[float, float]:
     """Mean and std over observed entries only.
@@ -142,26 +127,23 @@ def global_stats(x: MaskedMatrix) -> tuple[float, float]:
 
 def masked_row_means(x: MaskedMatrix) -> np.ndarray:
     counts = x.mask.sum(axis=1)
-    sums = np.where(x.mask, x.values, 0.0).sum(axis=1)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return np.where(counts > 0, x.values.sum(axis=1) / np.maximum(counts, 1), 0.0)
 
 
 def masked_col_means(x: MaskedMatrix) -> np.ndarray:
     counts = x.mask.sum(axis=0)
-    sums = np.where(x.mask, x.values, 0.0).sum(axis=0)
-    return np.where(counts > 0, sums / np.maximum(counts, 1), 0.0)
+    return np.where(counts > 0, x.values.sum(axis=0) / np.maximum(counts, 1), 0.0)
 
 
 def normalize(x: MaskedMatrix) -> tuple[MaskedMatrix, NormalizationInfo]:
     """Center and scale observed entries to mean 0, std 1.
 
-    Returns the scaled matrix (unobserved cells zeroed) and the info needed
-    to undo the scaling; info carries the row/column means of the *scaled*
-    matrix, which seed the additive terms at fit time.
+    Returns the scaled matrix and the info needed to undo the scaling; info
+    carries the row/column means of the *scaled* matrix, which seed the
+    additive terms at fit time.
     """
     mean, std = global_stats(x)
-    scaled = np.where(x.mask, (x.values - mean) / std, 0.0)
-    xn = MaskedMatrix(scaled, x.mask)
+    xn = MaskedMatrix((x.values - mean) / std, x.mask)
     info = NormalizationInfo(
         mean=mean,
         std=std,
@@ -259,8 +241,7 @@ def read_matrix_csv(path) -> MaskedMatrix:
         if arr is None or misread or np.isinf(arr).any():
             fh.seek(0)
             return _read_matrix_located(fh)
-    missing = np.isnan(arr)
-    return MaskedMatrix(np.where(missing, 0.0, arr), ~missing)
+    return MaskedMatrix(arr, ~np.isnan(arr))
 
 
 def _noting_misreads(lines, seen: list):

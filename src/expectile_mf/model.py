@@ -93,11 +93,11 @@ _BLOCK_CELLS = 49152
 class Objective:
     """Loss and gradient of one fit as a function of the flat parameter vector.
 
-    Built once per fit: holds the observed values with unobserved cells
-    zeroed, the mask as floats, the observed count, three B x p work
-    buffers and the small BLAS operands that every call reuses. The passes
-    run over blocks of B = max(1, _BLOCK_CELLS // p) rows; a matrix of at
-    most _BLOCK_CELLS cells is one block. Calls return a fresh gradient
+    Built once per fit: holds the data's values (MaskedMatrix stores +0.0 at
+    unobserved cells), the mask as floats, the observed count, three B x p
+    work buffers and the small BLAS operands that every call reuses. The
+    passes run over blocks of B = max(1, _BLOCK_CELLS // p) rows; a matrix of
+    at most _BLOCK_CELLS cells is one block. Calls return a fresh gradient
     array, so callers may keep it; calls on one instance must not overlap,
     since they share the buffers.
 
@@ -128,7 +128,7 @@ class Objective:
             raise ExpectileMFError("no observed cells")
         self.tau = check_tau(tau)
         self.n, self.p, self.k = x.n_rows, x.n_cols, k
-        self._values = np.where(x.mask, x.values, 0.0)
+        self._values = x.values
         self._mask = x.mask.astype(float)
         self._counts = np.concatenate([self._mask.sum(axis=1), self._mask.sum(axis=0)])
         self._block_rows = min(self.n, max(1, _BLOCK_CELLS // self.p))
@@ -255,25 +255,29 @@ def orient_rank1(model: FactorModel, pivot_row: int) -> FactorModel:
     return model
 
 
-def model_to_dict(
-    model: FactorModel,
-    tau: "float | None" = None,
-    normalization: "NormalizationInfo | None" = None,
-) -> dict:
+def model_to_dict(model: FactorModel, tau: float, info: NormalizationInfo) -> dict:
+    """The model file: the model, the tau it was fit at and the normalization of its data."""
     return {
         "n": model.n,
         "p": model.p,
         "k": model.k,
-        "tau": check_tau(tau) if tau is not None else None,
+        "tau": tau,
         "r": model.r.tolist(),
         "c": model.c.tolist(),
         "u": model.u.ravel().tolist(),
         "v": model.v.ravel().tolist(),
-        "normalization": normalization.to_dict() if normalization is not None else None,
+        "normalization": {
+            "mean": info.mean,
+            "std": info.std,
+            "row_means": info.row_means.tolist(),
+            "col_means": info.col_means.tolist(),
+        },
     }
 
 
-def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, NormalizationInfo | None]":
+def model_from_dict(doc: dict) -> "tuple[FactorModel, float, NormalizationInfo]":
+    """Inverse of model_to_dict; a bad document raises a data error, KeyError,
+    TypeError or ValueError."""
     n, p, k = (doc[name] for name in "npk")
     if any(type(d) is not int for d in (n, p, k)):  # bool is an int subclass; reject it too
         raise ExpectileMFError(f"declared n, p and k must be integers, got {n!r}, {p!r}, {k!r}")
@@ -284,12 +288,16 @@ def model_from_dict(doc: dict) -> "tuple[FactorModel, float | None, Normalizatio
             f"{r.size}, {c.size}, {u.size}, {v.size} values"
         )
     model = FactorModel(r, c, u.reshape(n, k), v.reshape(p, k))
-    nd = doc.get("normalization")
-    info = NormalizationInfo.from_dict(nd) if nd is not None else None
-    if info is not None and (info.row_means.size, info.col_means.size) != (n, p):
+    nd = doc["normalization"]
+    info = NormalizationInfo(
+        mean=float(nd["mean"]),
+        std=float(nd["std"]),
+        row_means=np.asarray(nd["row_means"], dtype=float),
+        col_means=np.asarray(nd["col_means"], dtype=float),
+    )
+    if (info.row_means.size, info.col_means.size) != (n, p):
         raise ExpectileMFError(
             f"declared n={n}, p={p} but normalization holds {info.row_means.size} row "
             f"and {info.col_means.size} column means"
         )
-    tau = doc.get("tau")
-    return model, (float(tau) if tau is not None else None), info
+    return model, float(doc["tau"]), info

@@ -59,15 +59,13 @@ class FitReport(OptimizeResult):
 def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
     """Additive terms from the data means, factors i.i.d. standard normal.
 
-    The factor entries are drawn as one flat vector (u block then v block,
-    row-major) so the draw matches the flattened parameter layout.
+    The factor entries are drawn as one flat vector, which takes the place of
+    u and v in the flat parameter layout that unflatten reads.
     """
-    row_means = np.asarray(row_means, dtype=float)
-    col_means = np.asarray(col_means, dtype=float)
-    n, p = row_means.size, col_means.size
+    n, p = np.size(row_means), np.size(col_means)
     gen = np.random.Generator(np.random.PCG64(seed))
-    uv = gen.standard_normal(n * k + p * k)
-    return FactorModel(row_means, col_means, uv[: n * k].reshape(n, k), uv[n * k :].reshape(p, k))
+    return unflatten(np.concatenate([row_means, col_means, gen.standard_normal((n + p) * k)]),
+                     n, p, k)
 
 
 def _warn_if_unnormalized(x: MaskedMatrix) -> None:

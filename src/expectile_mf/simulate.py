@@ -84,7 +84,7 @@ def generate(spec: SimulationSpec) -> SimulatedData:
     missing = streams["mask"].random((spec.m, spec.n)) < spec.na_portion
     mask = ~missing
     return SimulatedData(
-        x=MaskedMatrix(np.where(mask, x_full, 0.0), mask),
+        x=MaskedMatrix(x_full, mask),
         true_r=true_r,
         true_c=true_c,
         true_u=true_u,

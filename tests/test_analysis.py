@@ -73,15 +73,15 @@ class TestBandCurves:
         m = FactorModel(rng.normal(size=4), rng.normal(size=3),
                         rng.normal(size=(4, 1)), rng.normal(size=(3, 1)))
         lower, center, upper = band_curves(m, self.make_info(4, 3, std=1.0))
-        np.testing.assert_array_equal(center, m.r)
-        np.testing.assert_array_equal(upper, m.r + float(np.std(m.v[:, 0])) * m.u[:, 0])
+        np.testing.assert_array_equal(center, 1.0 + m.r)
+        np.testing.assert_array_equal(upper, (1.0 + m.r) + float(np.std(m.v[:, 0])) * m.u[:, 0])
 
     def test_scaling_arithmetic(self):
-        # v = (1, -1) has std 1, so the half-width is exactly u * std.
+        # v = (1, -1) has std 1, so the half-width is exactly u * std; center is mean + r * std.
         m = FactorModel(np.array([0.5]), np.array([0.25, -0.25]),
                         np.array([[0.5]]), np.array([[1.0], [-1.0]]))
         lower, center, upper = band_curves(m, self.make_info(1, 2, std=16.0))
-        assert (lower[0], center[0], upper[0]) == (0.0, 8.0, 16.0)
+        assert (lower[0], center[0], upper[0]) == (1.0, 9.0, 17.0)
 
     def test_constant_v_collapses_band(self, rng):
         m = FactorModel(rng.normal(size=5), rng.normal(size=4),
@@ -108,7 +108,7 @@ class TestBandCurves:
         lower, center, upper = band_curves(m, info)
         v_std = float(np.std([m.v[j, 0] for j in range(3)]))
         for i in range(4):
-            c = m.r[i] * 3.0
+            c = 1.0 + m.r[i] * 3.0
             h = v_std * m.u[i, 0] * 3.0
             assert abs(center[i] - c) < 1e-12
             assert abs(upper[i] - (c + h)) < 1e-12

@@ -665,13 +665,15 @@ class TestExitCodes:
             ("--warm-start", lambda m: with_normalization(
                 m, row_means=[m["normalization"]["row_means"]])),
             ("--model", lambda m: with_normalization(m, row_means=[0.0], col_means=[0.0, 0.0])),
+            ("--model", lambda m: json.dumps({**m, "tau": None})),
+            ("--warm-start", lambda m: json.dumps({**m, "normalization": None})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
              "model-n-negative", "normalization-col-means-short", "warm-start-rank-2",
              "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
              "model-k-true", "warm-start-p-string", "normalization-row-means-nested",
-             "normalization-one-row-mean"],
+             "normalization-one-row-mean", "model-tau-null", "warm-start-without-normalization"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

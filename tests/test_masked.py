@@ -1,5 +1,4 @@
 import csv
-import json
 import os
 import threading
 
@@ -87,6 +86,17 @@ class TestMaskedMatrix:
         with pytest.raises(ValueError):
             x.values[0, 0] = 99.0
 
+    @pytest.mark.parametrize("fill", [np.nan, np.inf, -np.inf, -0.0, 1e300])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_unobserved_cells_hold_positive_zero(self, fill, order):
+        mask = np.array(FIXTURE_MASK)
+        given = np.asarray(np.where(mask, FIXTURE_VALUES, fill), order=order)
+        x = MaskedMatrix(given, mask)
+        assert np.array_equal(x.values[mask], given[mask])
+        assert (x.values[~mask] == 0.0).all() and not np.signbit(x.values[~mask]).any()
+        assert x.values.flags.c_contiguous and not x.values.flags.writeable
+        assert not np.shares_memory(x.values, given)
+
 
 class TestGlobalStats:
     def test_two_point_symmetric(self):
@@ -131,19 +141,6 @@ class TestGlobalStats:
         means = {"row_means": np.zeros(2), "col_means": np.zeros(3), name: np.zeros((1, 2))}
         with pytest.raises(ValueError, match=rf"^{name} must be 1-D, got shape \(1, 2\)$"):
             NormalizationInfo(mean=0.0, std=1.0, **means)
-
-    def test_normalization_info_dict_round_trip(self, rng):
-        _, info = normalize(random_masked(rng))
-        doc = info.to_dict()
-        assert list(doc) == ["mean", "std", "row_means", "col_means"]
-        back = NormalizationInfo.from_dict(json.loads(json.dumps(doc)))
-        assert (back.mean, back.std) == (info.mean, info.std)
-        assert np.array_equal(back.row_means, info.row_means)
-        assert np.array_equal(back.col_means, info.col_means)
-        with pytest.raises(ValueError):
-            NormalizationInfo.from_dict({**doc, "std": 0.0})
-        with pytest.raises(KeyError):
-            NormalizationInfo.from_dict({k: v for k, v in doc.items() if k != "std"})
 
     # An infinite observed cell no longer gets this far: MaskedMatrix rejects it.
     @pytest.mark.parametrize("values", [[[1e308, -1e308], [1e308, -1e308]]])

@@ -411,8 +411,8 @@ class TestOrientRank1:
             orient_rank1(m, 7)
 
 
-def json_round_trip(model, tau, normalization=None):
-    return model_from_dict(json.loads(json.dumps(model_to_dict(model, tau, normalization))))
+def json_round_trip(model, tau, info):
+    return model_from_dict(json.loads(json.dumps(model_to_dict(model, tau, info))))
 
 
 class TestModelJson:
@@ -421,6 +421,9 @@ class TestModelJson:
         info = NormalizationInfo(
             mean=3.25, std=1.75, row_means=rng.normal(size=5), col_means=rng.normal(size=4)
         )
+        doc = model_to_dict(m, 0.7, info)
+        assert list(doc) == ["n", "p", "k", "tau", "r", "c", "u", "v", "normalization"]
+        assert list(doc["normalization"]) == ["mean", "std", "row_means", "col_means"]
         back, tau, back_info = json_round_trip(m, 0.7, info)
         assert tau == 0.7
         assert np.array_equal(back.r, m.r)
@@ -433,8 +436,8 @@ class TestModelJson:
         n, p, k = (data.draw(st.integers(1, 6)) for _ in range(3))
         model = FactorModel(*(data.draw(arrays(np.float64, shape, elements=FINITE))
                               for shape in ((n,), (p,), (n, k), (p, k))))
-        tau = data.draw(st.none() | st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
-        info = data.draw(st.none() | st.builds(
+        tau = data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+        info = data.draw(st.builds(
             NormalizationInfo,
             mean=FINITE,
             std=st.sampled_from([5e-324, 1.7976931348623157e308])
@@ -447,16 +450,15 @@ class TestModelJson:
             a, b = getattr(model, name), getattr(back, name)
             assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
         assert repr(back_tau) == repr(tau)
-        if info is None:
-            assert back_info is None
-        else:
-            for name in ("mean", "std", "row_means", "col_means"):
-                a, b = (np.asarray(getattr(i, name), dtype=float) for i in (info, back_info))
-                assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        for name in ("mean", "std", "row_means", "col_means"):
+            a, b = (np.asarray(getattr(i, name), dtype=float) for i in (info, back_info))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
     def test_round_trip_loss_exact(self, rng):
         model, x = random_instance(rng)
-        back, tau, _ = json_round_trip(model, 0.4)
+        info = NormalizationInfo(mean=0.0, std=1.0, row_means=np.zeros(model.n),
+                                 col_means=np.zeros(model.p))
+        back, tau, _ = json_round_trip(model, 0.4, info)
         l0 = loss_and_gradient(model, x, 0.4).loss
         l1 = loss_and_gradient(back, x, tau).loss
         assert abs(l0 - l1) < 1e-12
