@@ -334,13 +334,11 @@ def icc_cmd(input_path, out):
 @click.option("--output", type=click.Path(), required=True, help="Matrix CSV path.")
 @click.option("--labels", "labels_path", type=click.Path(), required=True)
 @click.option("--max-missing", type=float, default=0.7, show_default=True)
-@click.option("--person-col", default="person_id", show_default=True)
-@click.option("--time-col", default="timestamp", show_default=True)
-@click.option("--bpm-col", default="bpm", show_default=True)
-def ingest(input_path, output, labels_path, max_missing, person_col, time_col, bpm_col):
+def ingest(input_path, output, labels_path, max_missing):
     """Bin heart-rate records into the 288 x person-days matrix in bpm and drop
-    the person-days missing more than --max-missing of their segments."""
-    records = read_records_csv(input_path, person_col=person_col, time_col=time_col, bpm_col=bpm_col)
+    the person-days missing more than --max-missing of their segments. The input's
+    header names person_id, timestamp and bpm, in any order."""
+    records = read_records_csv(input_path)
     pdm = bin_records(records)
     with naming(input_path):
         x, kept = drop_sparse_columns(pdm.matrix, max_missing)

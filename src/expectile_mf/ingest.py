@@ -85,23 +85,20 @@ def bin_records(records) -> PersonDayMatrix:
     return PersonDayMatrix(MaskedMatrix(values.reshape(shape), mask.reshape(shape)), tuple(labels))
 
 
-def read_records_csv(
-    path,
-    person_col: str = "person_id",
-    time_col: str = "timestamp",
-    bpm_col: str = "bpm",
-) -> list[tuple[str, datetime, float]]:
-    """Parse a header-ed CSV into (person_id, timestamp, bpm) records; columns are remappable."""
+def read_records_csv(path) -> list[tuple[str, datetime, float]]:
+    """Parse a CSV with a header naming person_id, timestamp and bpm, in any order,
+    into (person_id, timestamp, bpm) records."""
     records = []
     with open_input(path) as fh:
         rows = csv_records(fh)
         header_line, header = next(rows, (None, None))
         if header is None:
             raise ExpectileMFError("empty file")
-        for col in (person_col, time_col, bpm_col):
+        columns = ("person_id", "timestamp", "bpm")
+        for col in columns:
             if col not in header:
                 raise ParseError(header_line, f"missing column {col!r} in header {header}")
-        person_at, time_at, bpm_at = (header.index(c) for c in (person_col, time_col, bpm_col))
+        person_at, time_at, bpm_at = map(header.index, columns)
         n_fields, append = len(header), records.append
         fromisoformat, isfinite = datetime.fromisoformat, math.isfinite
         for line_no, row in rows:

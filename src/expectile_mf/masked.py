@@ -7,8 +7,9 @@ Also holds the CSV wire format for matrices (missing cells
 written as "nan", parsed from "nan" or an empty field, case-insensitive),
 and the input boundary: open_input opens every file the package reads,
 naming prefixes a data error with the file it came from, and csv_records is
-the one place where CSV records and their lines are read, apart from
-read_matrix_csv's one np.loadtxt pass over a plain numeric matrix.
+the one place where CSV records are parsed, apart from read_matrix_csv's one
+np.loadtxt pass over a plain numeric matrix. read_matrix_csv reads the lines
+of a file or a pipe once, and both of its readers work on that one list.
 """
 
 from __future__ import annotations
@@ -207,11 +208,11 @@ def open_input(path):
             raise ExpectileMFError(f"{type(exc).__name__}: {exc}") from None
 
 
-def csv_records(fh):
-    """Yield (line, fields) for each non-blank CSV record, where line is the
+def csv_records(lines):
+    """Yield (line, fields) for each non-blank CSV record of lines, where line is the
     1-based line the record starts on; a quoted field may span lines. A record
     of one field that is empty or whitespace only is blank."""
-    reader = csv.reader(fh)
+    reader = csv.reader(lines)
     line = 1
     for fields in reader:
         if len(fields) > 1 or (fields and fields[0].strip()):
@@ -220,51 +221,41 @@ def csv_records(fh):
 
 
 def read_matrix_csv(path) -> MaskedMatrix:
-    """Read a matrix CSV. A plain numeric matrix, which is what write_matrix_csv
-    writes, is parsed by np.loadtxt in one pass; any input that pass cannot be
-    trusted on goes to the located reader, which gives the same arrays and
-    writes every error message."""
+    """Read a matrix CSV, a file or a pipe, reading its lines once. A plain numeric
+    matrix, which is what write_matrix_csv writes, is parsed by np.loadtxt in one
+    pass over them; any input that pass cannot be trusted on goes to the located
+    reader, which gives the same arrays and writes every error message."""
+    limit = csv.field_size_limit()
     with open_input(path) as fh:
-        if not fh.seekable():  # a pipe cannot be read a second time
-            return _read_matrix_located(fh)
-        misread = []
+        lines = fh.readlines()
+        # loadtxt reads "-nan" and "+nan", in any case, as missing, and a field of any
+        # length; the located reader rejects both.
+        for line in lines:
+            low = line.lower()
+            if "-nan" in low or "+nan" in low or (
+                    len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit):
+                return _read_matrix_located(lines)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # an empty input only warns
-                arr = np.loadtxt(_noting_misreads(fh, misread), delimiter=",",
-                                 comments=None, ndmin=2)
+                arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
         except (ValueError, Warning):
             arr = None
         # An infinite cell ("inf", "1e999") is an error that only the located reader
         # names by line. loadtxt raises on every other input that the located reader
         # reads differently; tests/test_masked.py checks this on generated text.
-        if arr is None or misread or np.isinf(arr).any():
-            fh.seek(0)
-            return _read_matrix_located(fh)
+        if arr is None or np.isinf(arr).any():
+            return _read_matrix_located(lines)
     return MaskedMatrix(arr, ~np.isnan(arr))
 
 
-def _noting_misreads(lines, seen: list):
-    """Yield lines unchanged, appending True to seen once a line holds what loadtxt
-    reads but the located reader does not read alike: "-nan" or "+nan" in any case,
-    which loadtxt reads as missing, or a field longer than the csv module's limit."""
-    limit = csv.field_size_limit()
-    for line in lines:
-        if not seen:
-            low = line.lower()
-            if "-nan" in low or "+nan" in low or (
-                    len(line) > limit and max(map(len, line.rstrip("\r\n").split(","))) > limit):
-                seen.append(True)
-        yield line
-
-
-def _read_matrix_located(fh) -> MaskedMatrix:
-    """The per-cell matrix CSV reader: every error names its line."""
+def _read_matrix_located(lines) -> MaskedMatrix:
+    """The per-cell matrix CSV reader over lines: every error names its line."""
     values: list[list[float]] = []
     mask: list[list[bool]] = []
     line_numbers: list[int] = []
     width = None
-    for line_no, row in csv_records(fh):
+    for line_no, row in csv_records(lines):
         if width is None:
             width = len(row)
         elif len(row) != width:

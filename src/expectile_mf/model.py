@@ -300,4 +300,4 @@ def model_from_dict(doc: dict) -> "tuple[FactorModel, float, NormalizationInfo]"
             f"declared n={n}, p={p} but normalization holds {info.row_means.size} row "
             f"and {info.col_means.size} column means"
         )
-    return model, float(doc["tau"]), info
+    return model, check_tau(doc["tau"]), info

@@ -51,7 +51,8 @@ class OptimizeOptions:
     """Knobs for minimize: the direction rule and the two stopping rules.
 
     algorithm is one of ALGORITHMS; the fit stops once the gradient
-    infinity norm is at most grad_tol, or after max_iters accepted steps.
+    infinity norm is at most grad_tol, which must be finite and positive, or
+    after max_iters accepted steps.
     diagonal, when set, maps a point to a positive curvature estimate of
     the same shape; lbfgs and bfgs scale their starting matrix by its
     inverse, and cg ignores it. pipeline.fit sets it to Objective.diagonal.
@@ -67,8 +68,8 @@ class OptimizeOptions:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if not self.grad_tol > 0.0:
-            raise ValueError("grad_tol must be positive")
+        if not 0.0 < self.grad_tol < math.inf:
+            raise ValueError("grad_tol must be finite and positive")
 
 
 @dataclass

@@ -10,20 +10,15 @@ tau = 0.5 and warm-start the other levels from that solution.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ExpectileMFError
 from .expectiles import check_tau
-from .masked import MaskedMatrix, global_stats
+from .masked import MaskedMatrix
 from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
 from .optim import OptimizeOptions, OptimizeResult, minimize
-
-# Looser than any real normalization, tight enough to catch raw data.
-_NORMALIZED_MEAN_SLACK = 0.05
-_NORMALIZED_STD_SLACK = 0.05
 
 
 @dataclass
@@ -68,18 +63,6 @@ def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
                      n, p, k)
 
 
-def _warn_if_unnormalized(x: MaskedMatrix) -> None:
-    try:
-        mean, std = global_stats(x)
-    except ExpectileMFError:
-        return
-    if abs(mean) > _NORMALIZED_MEAN_SLACK or abs(std - 1.0) > _NORMALIZED_STD_SLACK:
-        warnings.warn(
-            f"data does not look normalized (mean {mean:.3g}, std {std:.3g}); "
-            "fitting proceeds on the given scale"
-        )
-
-
 def check_warm_start(model: FactorModel, n: int, p: int, k: int) -> None:
     """Raise unless a warm-start model has the fit's shape (n, p, k)."""
     if (model.n, model.p, model.k) != (n, p, k):
@@ -89,7 +72,8 @@ def check_warm_start(model: FactorModel, n: int, p: int, k: int) -> None:
 
 
 def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
-    """Best-of-restarts fit of the factor model to normalized data.
+    """Best-of-restarts fit of the factor model to normalized data, whose scale
+    it does not check.
 
     A warm start overrides every initialization (including the additive
     terms) and runs a single optimization. Restart winners
@@ -98,7 +82,6 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     n, p, k = x.n_rows, x.n_cols, config.k
     if config.orient_pivot is not None and not 0 <= config.orient_pivot < n:
         raise ValueError(f"orient_pivot {config.orient_pivot} out of range for {n} rows")
-    _warn_if_unnormalized(x)
     row_means = np.asarray(row_means, dtype=float)
     col_means = np.asarray(col_means, dtype=float)
     if row_means.size != n or col_means.size != p:

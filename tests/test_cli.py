@@ -587,13 +587,15 @@ class TestExitCodes:
              "taus 0.1 and 0.1000001 both write model_tau0.1.json"),
             (["tau-sweep", "--input", "X.csv", "--taus", "0.5,0.1,0.5", "--output-dir", "out"],
              "taus 0.5 and 0.5 both write model_tau0.5.json"),
+            (["fit", "--input", "X.csv", "--grad-tol", "inf", "--output", "out.json"],
+             "grad_tol must be finite and positive"),
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
              "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
              "rank-sweep-repeated-algorithms", "resilience", "expectiles",
              "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
              "tau-sweep-tau", "simulate-sigma-inf", "tau-sweep-colliding-taus",
-             "tau-sweep-repeated-taus"],
+             "tau-sweep-repeated-taus", "fit-grad-tol-inf"],
     )
     def test_bad_option_value_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv, message):
         monkeypatch.chdir(tmp_path)
@@ -667,13 +669,17 @@ class TestExitCodes:
             ("--model", lambda m: with_normalization(m, row_means=[0.0], col_means=[0.0, 0.0])),
             ("--model", lambda m: json.dumps({**m, "tau": None})),
             ("--warm-start", lambda m: json.dumps({**m, "normalization": None})),
+            ("--model", lambda m: json.dumps({**m, "tau": 7})),
+            ("--model", lambda m: json.dumps({**m, "tau": True})),
+            ("--warm-start", lambda m: json.dumps({**m, "tau": 0})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
              "model-n-negative", "normalization-col-means-short", "warm-start-rank-2",
              "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
              "model-k-true", "warm-start-p-string", "normalization-row-means-nested",
-             "normalization-one-row-mean", "model-tau-null", "warm-start-without-normalization"],
+             "normalization-one-row-mean", "model-tau-null", "warm-start-without-normalization",
+             "model-tau-7", "model-tau-true", "warm-start-tau-0"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

@@ -224,12 +224,6 @@ class TestReadRecordsCsv:
         assert records == [rec("p1", "2016-04-01T00:00:00", 62.0),
                            rec("p1", "2016-04-01T00:00:05", 63.0)]
 
-    def test_alternative_column_names(self, tmp_path):
-        path = tmp_path / "hr.csv"
-        path.write_text("Id,Time,Value\nu1,2016-04-01T08:00:00,71\n")
-        records = read_records_csv(path, person_col="Id", time_col="Time", bpm_col="Value")
-        assert records == [rec("u1", "2016-04-01T08:00:00", 71.0)]
-
     def test_missing_column(self, tmp_path):
         path = tmp_path / "hr.csv"
         path.write_text("a,b\n1,2\n")
@@ -242,8 +236,9 @@ class TestReadRecordsCsv:
         path = tmp_path / "hr.csv"
         path.write_text("\n\nperson_id,timestamp,bpm\np1,2016-04-01T00:00:00,62\n")
         assert read_records_csv(path) == [rec("p1", "2016-04-01T00:00:00", 62.0)]
-        with pytest.raises(ParseError, match="line 3: missing column 'Id'"):
-            read_records_csv(path, person_col="Id")
+        path.write_text("\n\nId,timestamp,bpm\np1,2016-04-01T00:00:00,62\n")
+        with pytest.raises(ParseError, match="line 3: missing column 'person_id'"):
+            read_records_csv(path)
 
     def test_bad_timestamp_line_number(self, tmp_path):
         path = tmp_path / "hr.csv"

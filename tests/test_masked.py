@@ -340,7 +340,7 @@ class TestMatrixCsv:
         x = random_masked(rng, 12, 7)
         write_matrix_csv(x, tmp_path / "m.csv")
 
-        def located(fh):
+        def located(lines):
             raise AssertionError("a plain matrix reached the located reader")
 
         monkeypatch.setattr("expectile_mf.masked._read_matrix_located", located)
@@ -349,8 +349,8 @@ class TestMatrixCsv:
         assert np.array_equal(got.mask, x.mask)
 
     def test_undecodable_bytes_after_plain_rows_match_the_located_reader(self, tmp_path):
-        # loadtxt meets the bad byte past the first decoded chunk and gives up; the located
-        # reader reads again from the start and names the same position.
+        # The bad byte lies past the first decoded chunk; reading the lines raises on it
+        # before either reader runs, naming the same position as the located reader.
         path = tmp_path / "m.csv"
         path.write_bytes(b"1.5,2\n" * 3000 + b"3,\xff\n1,2\n")
         with pytest.raises(ExpectileMFError) as err:
@@ -371,8 +371,29 @@ class TestMatrixCsv:
             read_matrix_csv(path)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_piped_plain_matrix_is_read_in_one_pass(self, tmp_path, rng, monkeypatch):
+        # A pipe takes the path of a file: its lines are read once, and loadtxt parses them.
+        write_matrix_csv(random_masked(rng, 12, 7), tmp_path / "m.csv")
+        fifo = tmp_path / "m.fifo"
+        os.mkfifo(fifo)
+
+        def located(lines):
+            raise AssertionError("a plain matrix reached the located reader")
+
+        monkeypatch.setattr("expectile_mf.masked._read_matrix_located", located)
+        writer = threading.Thread(target=fifo.write_bytes, args=((tmp_path / "m.csv").read_bytes(),))
+        writer.start()
+        try:
+            got = read_matrix_csv(fifo)
+        finally:
+            writer.join()
+        want = read_matrix_csv(tmp_path / "m.csv")
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.mask.tobytes() == want.mask.tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_piped_input_errors_name_their_line(self, tmp_path):
-        # A pipe cannot be read twice, so it goes to the located reader from the start.
+        # A pipe's lines are read once, as a file's are, and the located reader names the line.
         fifo = tmp_path / "m.fifo"
         os.mkfifo(fifo)
         writer = threading.Thread(target=fifo.write_text, args=("1,2\n3,inf\n",))

@@ -72,6 +72,8 @@ class TestOptions:
             OptimizeOptions(grad_tol=-1.0)
         with pytest.raises(ValueError):
             OptimizeOptions(grad_tol=float("nan"))
+        with pytest.raises(ValueError, match="^grad_tol must be finite and positive$"):
+            OptimizeOptions(grad_tol=float("inf"))
 
 
 class TestQuadratics:

@@ -136,14 +136,6 @@ class TestFit:
         assert warm.final_loss <= base.final_loss + 1e-12
         assert warm.iterations <= base.iterations
 
-    def test_unnormalized_data_warns_but_fits(self):
-        x = exact_rank1_matrix()
-        shifted = MaskedMatrix(x.values * 10.0 + 5.0, x.mask)
-        with pytest.warns(UserWarning, match=r"^data does not look normalized \(mean "):
-            report = fit(shifted, masked_row_means(shifted), masked_col_means(shifted),
-                         FitConfig(tau=0.5, k=1, seed=0))
-        assert report.final_loss < 1e-6
-
     def test_fully_missing_row_and_column_are_harmless(self):
         rng = np.random.default_rng(0)
         values = rng.normal(size=(10, 8))
