@@ -14,6 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ExpectileMFError
+from .expectiles import check_tau
 from .masked import MaskedMatrix, NormalizationInfo, masked_col_means, masked_row_means, normalize
 from .model import FactorModel, fitted_matrix
 from .optim import ALGORITHMS, OptimizeOptions
@@ -198,9 +199,10 @@ def rank_sweep(
 
     Each trial draws a fresh dataset and one factor-init seed shared across
     ranks and algorithms, so iteration counts are comparable within a trial.
+    Every argument is checked before any data is generated.
     """
     ranks = list(ranks)
-    taus = list(taus)
+    taus = [check_tau(t) for t in taus]
     algorithms = list(algorithms)
     if not ranks or not taus or not algorithms:
         raise ValueError("taus, ranks, and algorithms must be non-empty")
@@ -208,11 +210,12 @@ def rank_sweep(
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     if min(ranks) < 1:
         raise ValueError(f"ranks must be >= 1, got {ranks}")
-    for name, values in (("taus", [float(t) for t in taus]), ("ranks", ranks),
-                         ("algorithms", algorithms)):
+    base_opts = opts if opts is not None else OptimizeOptions()
+    for algo in algorithms:
+        replace(base_opts, algorithm=algo)  # OptimizeOptions rejects an unknown name
+    for name, values in (("taus", taus), ("ranks", ranks), ("algorithms", algorithms)):
         if len(set(values)) != len(values):
             raise ValueError(f"{name} must not repeat, got {values}")
-    base_opts = opts if opts is not None else OptimizeOptions()
     records = []
     groups: dict[tuple, list[dict]] = {}  # (tau, rank, algorithm) -> its records
     for t_index, child in enumerate(np.random.SeedSequence(spec.seed).spawn(n_trials)):
@@ -225,11 +228,11 @@ def rank_sweep(
             for rank in ranks:
                 start = initial_model(info.row_means, info.col_means, rank, init_seed)
                 for algo, (report,) in _race(xn, info, tau, [start], algorithms, base_opts):
-                    rec = {"trial": t_index, "tau": float(tau), "rank": rank, "algorithm": algo,
+                    rec = {"trial": t_index, "tau": tau, "rank": rank, "algorithm": algo,
                            "loss": report.final_loss, "iterations": report.iterations,
                            "seconds": report.elapsed_seconds}
                     records.append(rec)
-                    groups.setdefault((float(tau), rank, algo), []).append(rec)
+                    groups.setdefault((tau, rank, algo), []).append(rec)
     aggregate = [
         {"tau": tau, "rank": rank, "algorithm": algo,
          **{f"mean_{name}": float(np.mean([rec[name] for rec in sub]))

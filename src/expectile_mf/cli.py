@@ -102,22 +102,14 @@ def _manifest(primary_output, subcommand, outputs, **resolved) -> None:
 
 
 def _parse_list(text, kind) -> list:
-    """Non-empty comma-separated list of kind (float or int)."""
+    """Non-empty comma-separated list of kind (float, int or str)."""
     try:
-        values = [kind(tok) for tok in text.split(",") if tok.strip()]
+        values = [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         values = []
     if not values:
         raise click.UsageError(f"expected comma-separated {kind.__name__}s, got {text!r}")
     return values
-
-
-def _parse_algorithms(text) -> list[str]:
-    algos = [tok.strip().lower() for tok in text.split(",") if tok.strip()]
-    for algo in algos:
-        if algo not in ALGORITHMS:
-            raise click.UsageError(f"unknown algorithm {algo!r}; pick from {ALGORITHMS}")
-    return algos
 
 
 def _with_options(options):
@@ -130,6 +122,14 @@ def _with_options(options):
 
 _seed_option = click.option("--seed", type=int, default=DEFAULT_SEED, show_default=True,
                             help="PRNG seed.")
+_sim_spec_options = [
+    click.option("--rows", type=int, default=200, show_default=True),
+    click.option("--cols", type=int, default=200, show_default=True),
+    click.option("--true-rank", type=int, default=2, show_default=True),
+    click.option("--sigma", type=float, default=0.3, show_default=True),
+    click.option("--na", type=float, default=0.3, show_default=True),
+    _seed_option,
+]
 
 
 @click.group()
@@ -145,12 +145,7 @@ def cli():
 
 
 @cli.command()
-@click.option("--rows", type=int, required=True)
-@click.option("--cols", type=int, required=True)
-@click.option("--true-rank", type=int, default=2, show_default=True)
-@click.option("--sigma", type=float, default=0.3, show_default=True)
-@click.option("--na", type=float, default=0.3, show_default=True)
-@_seed_option
+@_with_options(_sim_spec_options)
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
 def simulate(rows, cols, true_rank, sigma, na, seed, out):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
@@ -331,10 +326,10 @@ def icc_cmd(input_path, out):
 
 @cli.command()
 @click.option("--input", "input_path", type=click.Path(exists=True), required=True)
-@click.option("--output", type=click.Path(), required=True, help="Matrix CSV path.")
+@click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
 @click.option("--labels", "labels_path", type=click.Path(), required=True)
 @click.option("--max-missing", type=float, default=0.7, show_default=True)
-def ingest(input_path, output, labels_path, max_missing):
+def ingest(input_path, out, labels_path, max_missing):
     """Bin heart-rate records into the 288 x person-days matrix in bpm and drop
     the person-days missing more than --max-missing of their segments. The input's
     header names person_id, timestamp and bpm, in any order."""
@@ -342,16 +337,16 @@ def ingest(input_path, output, labels_path, max_missing):
     pdm = bin_records(records)
     with naming(input_path):
         x, kept = drop_sparse_columns(pdm.matrix, max_missing)
-    write_matrix_csv(x, output)
+    write_matrix_csv(x, out)
     _write_csv(
         Path(labels_path),
         ["column_index", "person_id", "date"],
         [[j, pid, day.isoformat()] for j, (pid, day) in
          enumerate(pdm.column_labels[i] for i in kept)],
     )
-    _manifest(output, "ingest", [output, labels_path],
+    _manifest(out, "ingest", [out, labels_path],
               columns_before=pdm.matrix.n_cols, columns_after=x.n_cols)
-    click.echo(f"binned {pdm.matrix.n_cols} person-days, kept {x.n_cols}; wrote {output}")
+    click.echo(f"binned {pdm.matrix.n_cols} person-days, kept {x.n_cols}; wrote {out}")
 
 
 @cli.command(name="band-curves")
@@ -378,16 +373,6 @@ def band_curves_cmd(model_path, out):
 @cli.group()
 def bench():
     """Seeded simulation studies (CSV tables plus a JSON summary)."""
-
-
-_sim_spec_options = [
-    click.option("--rows", type=int, default=200, show_default=True),
-    click.option("--cols", type=int, default=200, show_default=True),
-    click.option("--true-rank", type=int, default=2, show_default=True),
-    click.option("--sigma", type=float, default=0.3, show_default=True),
-    click.option("--na", type=float, default=0.3, show_default=True),
-    _seed_option,
-]
 
 
 @bench.command(name="compare-algos")
@@ -459,8 +444,7 @@ def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
 @bench.command(name="rank-sweep")
 @_with_options(_sim_spec_options)
 @click.option("--ranks", default="1,2,3,4", show_default=True)
-@click.option("--tau", "--taus", "taus", default="0.1", show_default=True,
-              help="Comma-separated tau values.")
+@click.option("--taus", default="0.1", show_default=True)
 @click.option("--algorithms", default="lbfgs,cg", show_default=True)
 @click.option("--trials", type=int, default=10, show_default=True)
 @click.option("--grad-tol", type=float, default=1e-6, show_default=True)
@@ -476,7 +460,7 @@ def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
         spec,
         _parse_list(taus, float),
         _parse_list(ranks, int),
-        _parse_algorithms(algorithms),
+        _parse_list(algorithms, str),
         n_trials=trials,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
     )

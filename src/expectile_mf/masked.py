@@ -193,9 +193,9 @@ def naming(path):
 def open_input(path):
     """Open a UTF-8 text input, CSV or JSON; a leading byte-order mark is skipped.
     Bytes that do not decode, a CSV record the csv module rejects, a document's
-    KeyError, TypeError or ValueError, and every data error raised while it is
-    open, are data errors naming the file. A check on the values read that runs
-    after the file is closed names it through naming(path)."""
+    KeyError, TypeError, ValueError or OverflowError, and every data error raised
+    while it is open, are data errors naming the file. A check on the values read
+    that runs after the file is closed names it through naming(path)."""
     with naming(path):
         try:
             with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -204,7 +204,7 @@ def open_input(path):
             raise ExpectileMFError(f"not UTF-8 text: {exc}") from None
         except csv.Error as exc:
             raise ExpectileMFError(str(exc)) from None
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ExpectileMFError(f"{type(exc).__name__}: {exc}") from None
 
 

@@ -9,6 +9,7 @@ the weight switch (at the switch, the residual-zero convention applies).
 
 from __future__ import annotations
 
+import reprlib
 import warnings
 from dataclasses import dataclass
 
@@ -275,29 +276,31 @@ def model_to_dict(model: FactorModel, tau: float, info: NormalizationInfo) -> di
     }
 
 
+def _numbers(name, value, count=None):
+    """A model file's JSON number as a float or, given count, its flat list of exactly
+    count JSON numbers as an array; a bool, string, null or nested list is rejected."""
+    if count is not None and not (type(value) is list and len(value) == count):
+        raise ExpectileMFError(f"{name} must be a list of {count} numbers")
+    for item in [value] if count is None else value:
+        if type(item) not in (int, float):
+            raise ExpectileMFError(f"{name} must hold JSON numbers, got {reprlib.repr(item)}")
+    return float(value) if count is None else np.array(value, dtype=float)
+
+
 def model_from_dict(doc: dict) -> "tuple[FactorModel, float, NormalizationInfo]":
     """Inverse of model_to_dict; a bad document raises a data error, KeyError,
-    TypeError or ValueError."""
+    TypeError, ValueError or OverflowError."""
     n, p, k = (doc[name] for name in "npk")
     if any(type(d) is not int for d in (n, p, k)):  # bool is an int subclass; reject it too
         raise ExpectileMFError(f"declared n, p and k must be integers, got {n!r}, {p!r}, {k!r}")
-    r, c, u, v = (np.asarray(doc[name], dtype=float) for name in "rcuv")
-    if (r.size, c.size, u.size, v.size) != (n, p, n * k, p * k):
-        raise ExpectileMFError(
-            f"declared n={n}, p={p}, k={k} but r, c, u, v hold "
-            f"{r.size}, {c.size}, {u.size}, {v.size} values"
-        )
+    r, c, u, v = (_numbers(name, doc[name], count)
+                  for name, count in zip("rcuv", (n, p, n * k, p * k)))
     model = FactorModel(r, c, u.reshape(n, k), v.reshape(p, k))
     nd = doc["normalization"]
     info = NormalizationInfo(
-        mean=float(nd["mean"]),
-        std=float(nd["std"]),
-        row_means=np.asarray(nd["row_means"], dtype=float),
-        col_means=np.asarray(nd["col_means"], dtype=float),
+        mean=_numbers("mean", nd["mean"]),
+        std=_numbers("std", nd["std"]),
+        row_means=_numbers("row_means", nd["row_means"], n),
+        col_means=_numbers("col_means", nd["col_means"], p),
     )
-    if (info.row_means.size, info.col_means.size) != (n, p):
-        raise ExpectileMFError(
-            f"declared n={n}, p={p} but normalization holds {info.row_means.size} row "
-            f"and {info.col_means.size} column means"
-        )
-    return model, check_tau(doc["tau"]), info
+    return model, check_tau(_numbers("tau", doc["tau"])), info

@@ -506,7 +506,7 @@ def _drive_cli(workdir):
             h, m = divmod(seg * 5, 60)
             rows.append(f"p1,2016-04-{day:02d}T{h:02d}:{m:02d}:00,{60 + (seg * day) % 45}")
     records.write_text("\n".join(rows) + "\n")
-    _run_cli(["ingest", "--input", records, "--output", workdir / "matrix.csv",
+    _run_cli(["ingest", "--input", records, "--out", workdir / "matrix.csv",
               "--labels", workdir / "labels.csv", "--max-missing", 0.7])
     _run_cli(["bench", "compare-algos", "--rows", 24, "--cols", 20, "--true-rank", 1,
               "--datasets", 1, "--inits", 1, "--tau", 0.5, "--rank", 1, "--seed", 3,
@@ -516,7 +516,7 @@ def _drive_cli(workdir):
               "--seed", 4, "--out-loss-csv", workdir / "gaps.csv",
               "--out-mad-csv", workdir / "mads.csv"])
     _run_cli(["bench", "rank-sweep", "--rows", 24, "--cols", 20, "--true-rank", 1,
-              "--ranks", "1,2", "--tau", "0.5", "--algorithms", "lbfgs", "--trials", 2,
+              "--ranks", "1,2", "--taus", "0.5", "--algorithms", "lbfgs", "--trials", 2,
               "--seed", 5, "--out-csv", workdir / "rsweep.csv",
               "--out-json", workdir / "rsweep.json"])
 

@@ -203,8 +203,11 @@ class TestRankSweep:
             ([0.5, 0.5], [1], ["lbfgs"], 1, "taus must not repeat"),
             ([0.5], [2, 1, 2], ["lbfgs"], 1, "ranks must not repeat"),
             ([0.5], [1], ["lbfgs", "cg", "lbfgs"], 1, "algorithms must not repeat"),
+            ([0.5], [1], ["foo"], 1, r"algorithm must be one of .*, got 'foo'"),
+            ([1.5], [1], ["lbfgs"], 1, r"tau must be in \(0, 1\), got 1.5"),
         ],
-        ids=["trials", "ranks", "repeated-taus", "repeated-ranks", "repeated-algorithms"],
+        ids=["trials", "ranks", "repeated-taus", "repeated-ranks", "repeated-algorithms",
+             "unknown-algorithm", "tau-out-of-range"],
     )
     def test_bad_counts_rejected_before_any_data(self, monkeypatch, taus, ranks, algorithms,
                                                  n_trials, message):

@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -71,6 +72,16 @@ class TestSimulate:
         x = read_matrix_csv(sim_csv)
         assert np.array_equal(x.mask, sim.x.mask)
         np.testing.assert_allclose(x.values[x.mask], sim.x.values[sim.x.mask], rtol=0)
+
+    def test_default_shape_is_bench_spec(self, tmp_path):
+        from expectile_mf import SimulationSpec, generate
+
+        path = tmp_path / "X.csv"
+        assert run(["simulate", "--out", path]) == 0
+        sim = generate(SimulationSpec(m=200, n=200, seed=20160229))
+        x = read_matrix_csv(path)
+        assert np.array_equal(x.mask, sim.x.mask)
+        assert np.array_equal(x.values, sim.x.values)
 
     def test_manifest_names_subcommand(self, sim_csv):
         doc = json.loads((sim_csv.parent / "X.csv.manifest.json").read_text())
@@ -228,7 +239,7 @@ class TestIngestCommand:
         write_records(records)
         out = tmp_path / "matrix.csv"
         labels = tmp_path / "labels.csv"
-        code = run(["ingest", "--input", records, "--output", out,
+        code = run(["ingest", "--input", records, "--out", out,
                     "--labels", labels, "--max-missing", 0.7])
         assert code == 0
         x = read_matrix_csv(out)
@@ -255,7 +266,7 @@ class TestIngestCommand:
             out = tmp_path / name
             out.mkdir()
             (out / "hr.csv").write_text("\n".join(["person_id,timestamp,bpm", *records]) + "\n")
-            assert run(["ingest", "--input", out / "hr.csv", "--output", out / "matrix.csv",
+            assert run(["ingest", "--input", out / "hr.csv", "--out", out / "matrix.csv",
                         "--labels", out / "labels.csv"]) == 0
             outputs.append([(out / f).read_bytes() for f in ("matrix.csv", "labels.csv")])
         assert outputs[0] == outputs[1]
@@ -266,7 +277,7 @@ class TestIngestCommand:
         write_records(records)
         out = tmp_path / "matrix.csv"
         capsys.readouterr()
-        assert run(["ingest", "--input", records, "--output", out,
+        assert run(["ingest", "--input", records, "--out", out,
                     "--labels", tmp_path / "labels.csv", "--max-missing", 1.5]) == 1
         assert capsys.readouterr().err == "Error: max_missing_fraction must be in (0, 1)\n"
         assert not out.exists()
@@ -275,7 +286,7 @@ class TestIngestCommand:
         records = tmp_path / "hr.csv"
         write_records(records)
         matrix = tmp_path / "matrix.csv"
-        assert run(["ingest", "--input", records, "--output", matrix,
+        assert run(["ingest", "--input", records, "--out", matrix,
                     "--labels", tmp_path / "labels.csv"]) == 0
         model_path = tmp_path / "model.json"
         assert run(["fit", "--input", matrix, "--max-iters", 20, "--output", model_path]) == 0
@@ -287,7 +298,7 @@ class TestIngestCommand:
         records = tmp_path / "hr.csv"
         write_records(records, person_field='"Smith, J"')
         labels = tmp_path / "labels.csv"
-        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+        assert run(["ingest", "--input", records, "--out", tmp_path / "matrix.csv",
                     "--labels", labels]) == 0
         with open(labels, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -298,7 +309,7 @@ class TestIngestCommand:
         records = tmp_path / "hr.csv"
         write_records(records, person_field='"a\nb"')
         labels = tmp_path / "labels.csv"
-        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+        assert run(["ingest", "--input", records, "--out", tmp_path / "matrix.csv",
                     "--labels", labels]) == 0
         with open(labels, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -310,7 +321,7 @@ class TestIngestCommand:
         records = tmp_path / "hr.csv"
         write_records(records, person_field='"a\rb"')
         labels = tmp_path / "labels.csv"
-        assert run(["ingest", "--input", records, "--output", tmp_path / "matrix.csv",
+        assert run(["ingest", "--input", records, "--out", tmp_path / "matrix.csv",
                     "--labels", labels]) == 0
         with open(labels, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -319,7 +330,7 @@ class TestIngestCommand:
         plain = tmp_path / "plain"
         plain.mkdir()
         write_records(plain / "hr.csv")
-        assert run(["ingest", "--input", plain / "hr.csv", "--output", plain / "matrix.csv",
+        assert run(["ingest", "--input", plain / "hr.csv", "--out", plain / "matrix.csv",
                     "--labels", plain / "labels.csv"]) == 0
         assert (tmp_path / "matrix.csv").read_bytes() == (plain / "matrix.csv").read_bytes()
 
@@ -371,7 +382,7 @@ class TestBench:
         out_csv = tmp_path / "sweep.csv"
         out_json = tmp_path / "sweep.json"
         code = run(["bench", "rank-sweep", "--rows", 24, "--cols", 20,
-                    "--true-rank", 1, "--ranks", "1,2", "--tau", "0.5",
+                    "--true-rank", 1, "--ranks", "1,2", "--taus", "0.5",
                     "--algorithms", "lbfgs", "--trials", 2, "--seed", 5,
                     "--out-csv", out_csv, "--out-json", out_json])
         assert code == 0
@@ -395,7 +406,7 @@ class TestManifest:
         commands = [  # (subcommand, argv after it, primary output, input files)
             ("simulate", ["--rows", 30, "--cols", 24, "--true-rank", 1, "--seed", 5,
                           "--out", "X.csv"], "X.csv", []),
-            ("ingest", ["--input", "records.csv", "--output", "hr.csv", "--labels", "labels.csv"],
+            ("ingest", ["--input", "records.csv", "--out", "hr.csv", "--labels", "labels.csv"],
              "hr.csv", ["records.csv"]),
             ("fit", ["--input", "hr.csv", "--max-iters", 20, "--output", "m.json"],
              "m.json", ["hr.csv"]),
@@ -455,7 +466,7 @@ class TestExitCodes:
         [
             (["fit", "--output", "model.json"], "1,2\n3,inf\n",
              "line 2: column 2: non-finite value inf"),
-            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+            (["ingest", "--out", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,70\np1,2016-04-01T00:05:30,0\n",
              "line 3: bpm must be finite and positive, got 0.0"),
             (["icc", "--out", "icc.json"], "a,1\nb,x\n", "line 2: bad value 'x'"),
@@ -472,12 +483,12 @@ class TestExitCodes:
             (["icc", "--out", "icc.json"], 'a,1\n"b\nc",2,3\nd,4\n',
              "line 2: expected 'group_id,value'"),
             (["fit", "--output", "model.json"], "", "no matrix rows found"),
-            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"], "", "empty file"),
-            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+            (["ingest", "--out", "hr.csv", "--labels", "labels.csv"], "", "empty file"),
+            (["ingest", "--out", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\n", "header but no records"),
             (["fit", "--output", "model.json"], "1,2\n3," + "4" * 131_073 + "\n",
              "field larger than field limit (131072)"),
-            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+            (["ingest", "--out", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30," + "7" * 131_073 + "\n",
              "field larger than field limit (131072)"),
             # a check on the values that runs after the reader returns names the file too
@@ -493,7 +504,7 @@ class TestExitCodes:
              "need >= 2 observed entries, have 1"),
             (["expectiles", "--out", "curves.csv"], "1,2\nnan,nan\n",
              "row 1 has no observed entries"),
-            (["ingest", "--output", "hr.csv", "--labels", "labels.csv"],
+            (["ingest", "--out", "hr.csv", "--labels", "labels.csv"],
              "person_id,timestamp,bpm\np1,2016-04-01T00:00:30,60\np1,2016-04-02T00:00:30,60\n",
              "no column has enough observed entries"),
             (["icc", "--out", "icc.json"], "", "need at least 2 distinct groups, got 0"),
@@ -549,7 +560,7 @@ class TestExitCodes:
             (["bench", "compare-algos", "--rows", 20, "--cols", 20, "--max-iters", 0,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "max_iters must be >= 1"),
-            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--tau", 1.5, "--trials", 1,
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--taus", 1.5, "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "tau must be in (0, 1), got 1.5"),
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--trials", 0,
@@ -564,9 +575,12 @@ class TestExitCodes:
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", "1,1", "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "ranks must not repeat, got [1, 1]"),
-            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,LBFGS",
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,lbfgs",
               "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
              "algorithms must not repeat, got ['lbfgs', 'lbfgs']"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,foo",
+              "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
+             "algorithm must be one of ('bfgs', 'lbfgs', 'cg'), got 'foo'"),
             (["bench", "resilience", "--input", "X.csv", "--rank", 0,
               "--out-loss-csv", "out.csv", "--out-mad-csv", "out2.csv"],
              "k must be >= 1"),
@@ -592,8 +606,8 @@ class TestExitCodes:
         ],
         ids=["tau-sweep", "simulate", "compare-algos", "rank-sweep", "rank-sweep-trials",
              "rank-sweep-ranks", "rank-sweep-repeated-taus", "rank-sweep-repeated-ranks",
-             "rank-sweep-repeated-algorithms", "resilience", "expectiles",
-             "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
+             "rank-sweep-repeated-algorithms", "rank-sweep-algorithms", "resilience",
+             "expectiles", "fit-pivot-range", "fit-pivot-rank-2", "tau-sweep-pivot-range",
              "tau-sweep-tau", "simulate-sigma-inf", "tau-sweep-colliding-taus",
              "tau-sweep-repeated-taus", "fit-grad-tol-inf"],
     )
@@ -619,12 +633,12 @@ class TestExitCodes:
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", 1.5, "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "expected comma-separated ints, got '1.5'"),
-            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", "lbfgs,foo",
-              "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
-             "unknown algorithm 'foo'; pick from ('bfgs', 'lbfgs', 'cg')"),
+            (["ingest", "--input", "X.csv", "--output", "out.csv", "--labels", "labels.csv"], None),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--tau", 0.5, "--trials", 1,
+              "--out-csv", "out.csv", "--out-json", "out.json"], None),
         ],
         ids=["unknown-option", "unknown-command", "tau-sweep-taus", "rank-sweep-ranks",
-             "rank-sweep-algorithms"],
+             "ingest-output", "rank-sweep-tau"],
     )
     def test_malformed_option_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv,
                                      message):
@@ -672,6 +686,15 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({**m, "tau": 7})),
             ("--model", lambda m: json.dumps({**m, "tau": True})),
             ("--warm-start", lambda m: json.dumps({**m, "tau": 0})),
+            ("--model", lambda m: json.dumps({**m, "tau": "0.5"})),
+            ("--model", lambda m: with_normalization(m, std=True)),
+            ("--warm-start", lambda m: with_normalization(m, mean="3")),
+            ("--model", lambda m: json.dumps({**m, "r": [str(x) for x in m["r"]]})),
+            ("--warm-start", lambda m: json.dumps({**m, "u": [x > 0 for x in m["u"]]})),
+            ("--model", lambda m: json.dumps({**m, "u": [[x] for x in m["u"]]})),
+            ("--model", lambda m: json.dumps({**m, "tau": 10**400})),
+            ("--warm-start", lambda m: with_normalization(m, mean=10**400)),
+            ("--model", lambda m: json.dumps({**m, "r": [10**400] + m["r"][1:]})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
@@ -679,7 +702,10 @@ class TestExitCodes:
              "warm-start-one-column-short", "model-rank-2", "model-n-fractional",
              "model-k-true", "warm-start-p-string", "normalization-row-means-nested",
              "normalization-one-row-mean", "model-tau-null", "warm-start-without-normalization",
-             "model-tau-7", "model-tau-true", "warm-start-tau-0"],
+             "model-tau-7", "model-tau-true", "warm-start-tau-0", "model-tau-string",
+             "model-std-true", "warm-start-mean-string", "model-r-strings",
+             "warm-start-u-booleans", "model-u-nested", "model-tau-huge",
+             "warm-start-mean-huge", "model-r-huge"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"
@@ -723,7 +749,7 @@ class TestExitCodes:
             "warm-start": ["fit", "--input", good, "--warm-start", bad, "--output", out],
             "expectiles": ["expectiles", "--input", bad, "--out", out],
             "icc": ["icc", "--input", bad, "--out", out],
-            "ingest": ["ingest", "--input", bad, "--output", out, "--labels", tmp_path / "l.csv"],
+            "ingest": ["ingest", "--input", bad, "--out", out, "--labels", tmp_path / "l.csv"],
         }[command]
         capsys.readouterr()
         assert run(argv) == 2
@@ -754,7 +780,7 @@ class TestByteOrderMark:
             argv = {
                 "icc": ["icc", "--input", source, "--out", out / "out"],
                 "expectiles": ["expectiles", "--input", source, "--out", out / "out"],
-                "ingest": ["ingest", "--input", source, "--output", out / "out",
+                "ingest": ["ingest", "--input", source, "--out", out / "out",
                            "--labels", out / "labels.csv"],
                 "band-curves": ["band-curves", "--model", source, "--out", out / "out"],
             }[command]
@@ -763,3 +789,17 @@ class TestByteOrderMark:
         assert outputs[0] == outputs[1]
         if command == "icc":
             assert json.loads(outputs[1])["icc"] == 0.9411764705882353
+
+
+def test_readme_cli_examples_name_only_options_that_exist():
+    # Click rejects an option a command does not declare before it acts on --help.
+    lines = iter((Path(__file__).parents[1] / "README.md").read_text().splitlines())
+    commands = []
+    for line in lines:
+        if line.startswith("    expectile-mf "):
+            while line.endswith("\\"):
+                line = line[:-1] + next(lines)
+            commands.append(shlex.split(line)[1:])
+    assert len(commands) >= 10
+    for argv in commands:
+        assert main([*argv, "--help"]) == 0, argv
