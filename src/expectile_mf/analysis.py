@@ -38,15 +38,15 @@ def icc(values, group_ids) -> float:
     groups, inverse = np.unique(group_ids, return_inverse=True)
     if groups.size < 2:
         raise ExpectileMFError(f"need at least 2 distinct groups, got {groups.size}")
-    grand = float(values.mean())
-    total = float(np.mean((values - grand) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = float(values.mean())
+        total = float(np.mean((values - grand) ** 2))
+        group_means = np.bincount(inverse, weights=values) / np.bincount(inverse)
+        between = float(np.mean((group_means[inverse] - grand) ** 2))
+    if not (np.isfinite(grand) and np.isfinite(total) and np.isfinite(between)):
+        raise ExpectileMFError(f"values overflow: mean {grand}, variance {total}")
     if total <= 0.0:
         raise ExpectileMFError("values have zero variance")
-    sums = np.bincount(inverse, weights=values)
-    counts = np.bincount(inverse)
-    group_means = sums / counts
-    expanded = group_means[inverse]
-    between = float(np.mean((expanded - grand) ** 2))
     return between / total
 
 
@@ -59,11 +59,14 @@ def band_curves(model: FactorModel, info: NormalizationInfo):
     """
     if model.k != 1:
         raise ExpectileMFError(f"band curves require k = 1, got k = {model.k}")
-    center = info.mean + info.std * model.r
-    u_dn = model.u[:, 0] * info.std
-    v_std = float(np.std(model.v[:, 0]))
-    half = v_std * u_dn
-    return center - half, center, center + half
+    with np.errstate(over="ignore", invalid="ignore"):
+        center = info.mean + info.std * model.r
+        v_std = float(np.std(model.v[:, 0]))
+        half = v_std * (model.u[:, 0] * info.std)
+        lower, upper = center - half, center + half
+    if not (np.all(np.isfinite(lower)) and np.all(np.isfinite(upper))):
+        raise ExpectileMFError(f"band values overflow: std of v {v_std}")
+    return lower, center, upper
 
 
 # ---------------------------------------------------------------------------

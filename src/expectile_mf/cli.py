@@ -101,14 +101,14 @@ def _manifest(primary_output, subcommand, outputs, **resolved) -> None:
     _write_json(path.with_name(path.name + ".manifest.json"), doc)
 
 
-def _parse_list(text, kind) -> list:
-    """Non-empty comma-separated list of kind (float, int or str)."""
+def _parse_list(text, kind, what) -> list:
+    """Non-empty comma-separated list of kind (float, int or str), called what in errors."""
     try:
         values = [kind(tok.strip()) for tok in text.split(",") if tok.strip()]
     except ValueError:
         values = []
     if not values:
-        raise click.UsageError(f"expected comma-separated {kind.__name__}s, got {text!r}")
+        raise click.UsageError(f"expected comma-separated {what}, got {text!r}")
     return values
 
 
@@ -248,7 +248,7 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
 def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters,
                   orient_pivot, taus, output_dir):
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
-    tau_values = _parse_list(taus, float)
+    tau_values = _parse_list(taus, float, "floats")
     for i, tau in enumerate(tau_values):
         for other in tau_values[:i]:
             if f"{other:g}" == f"{tau:g}":
@@ -284,7 +284,7 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
 @click.option("--out", type=click.Path(), required=True)
 def expectiles(input_path, taus, out):
     """Marginal expectile curves per matrix row (long CSV: row_index, tau, expectile)."""
-    tau_values = _parse_list(taus, float)
+    tau_values = _parse_list(taus, float, "floats")
     x = read_matrix_csv(input_path)
     with naming(input_path):
         curves = marginal_expectile_curves(x, tau_values)
@@ -458,9 +458,9 @@ def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
                           true_rank=true_rank, seed=seed)
     result = rank_sweep(
         spec,
-        _parse_list(taus, float),
-        _parse_list(ranks, int),
-        _parse_list(algorithms, str),
+        _parse_list(taus, float, "floats"),
+        _parse_list(ranks, int, "ints"),
+        _parse_list(algorithms, str, "algorithm names"),
         n_trials=trials,
         opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
     )

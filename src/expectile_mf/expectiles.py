@@ -7,6 +7,8 @@ The tau = 0.5 expectile is the mean.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ExpectileMFError
@@ -38,13 +40,16 @@ def scalar_expectile(sample, tau: float) -> float:
     if not np.all(np.isfinite(x)):
         raise ValueError("sample contains non-finite values")
     t = check_tau(tau)
-    mu = float(np.mean(x))
-    for _ in range(SOLVER_MAX_ITERS):
-        w = np.where(x >= mu, t, 1.0 - t)
-        mu_next = float(np.sum(w * x) / np.sum(w))
-        if abs(mu_next - mu) <= SOLVER_TOL * (1.0 + abs(mu)):
-            return mu_next
-        mu = mu_next
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu = float(np.mean(x))
+        for _ in range(SOLVER_MAX_ITERS):
+            if not math.isfinite(mu):
+                raise ExpectileMFError(f"values overflow: expectile iterate {mu}")
+            w = np.where(x >= mu, t, 1.0 - t)
+            mu_next = float(np.sum(w * x) / np.sum(w))
+            if abs(mu_next - mu) <= SOLVER_TOL * (1.0 + abs(mu)):
+                return mu_next
+            mu = mu_next
     raise ExpectileMFError(
         f"expectile solver did not converge in {SOLVER_MAX_ITERS} iterations")
 

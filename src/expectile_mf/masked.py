@@ -75,10 +75,6 @@ class MaskedMatrix:
     def observed_values(self) -> np.ndarray:
         return self.values[self.mask]
 
-    def to_dense(self) -> np.ndarray:
-        """Writable copy with NaN at unobserved cells."""
-        return np.where(self.mask, self.values, np.nan)
-
 
 @dataclass(frozen=True)
 class NormalizationInfo:
@@ -173,7 +169,7 @@ def drop_sparse_columns(
 def write_matrix_csv(x: MaskedMatrix, path) -> None:
     row_format = ",".join(["%.17g"] * x.n_cols) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in x.to_dense().tolist():
+        for row in np.where(x.mask, x.values, np.nan).tolist():
             fh.write(row_format % tuple(row))
 
 

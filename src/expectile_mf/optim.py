@@ -82,21 +82,6 @@ class OptimizeResult:
     status: str
 
 
-def _counted(objective, counter):
-    def fg(x):
-        counter[0] += 1
-        loss, grad = objective(x)
-        loss = float(loss)
-        grad = np.asarray(grad, dtype=float)
-        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
-            raise ExpectileMFError("objective returned NaN or Inf")
-        if grad.shape != x.shape:
-            raise ValueError(f"gradient shape {grad.shape} != point shape {x.shape}")
-        return loss, grad
-
-    return fg
-
-
 def minimize(objective, x0, opts: "OptimizeOptions | None" = None, callback=None) -> OptimizeResult:
     """Minimize a smooth objective given a (loss, gradient) callback.
 
@@ -107,8 +92,20 @@ def minimize(objective, x0, opts: "OptimizeOptions | None" = None, callback=None
     """
     opts = opts if opts is not None else OptimizeOptions()
     x = np.array(x0, dtype=float).ravel()
-    counter = [0]
-    fg = _counted(objective, counter)
+    evals = 0
+
+    def fg(x):
+        nonlocal evals
+        evals += 1
+        loss, grad = objective(x)
+        loss = float(loss)
+        grad = np.asarray(grad, dtype=float)
+        if not math.isfinite(loss) or not np.all(np.isfinite(grad)):
+            raise ExpectileMFError("objective returned NaN or Inf")
+        if grad.shape != x.shape:
+            raise ValueError(f"gradient shape {grad.shape} != point shape {x.shape}")
+        return loss, grad
+
     start = time.perf_counter()
     rule = _RULES[opts.algorithm](opts.diagonal)
     f, g = fg(x)
@@ -146,7 +143,7 @@ def minimize(objective, x0, opts: "OptimizeOptions | None" = None, callback=None
         x_final=x,
         final_loss=f,
         iterations=iters,
-        function_evals=counter[0],
+        function_evals=evals,
         elapsed_seconds=time.perf_counter() - start,
         status=status,
     )

@@ -17,16 +17,6 @@ import numpy as np
 
 from .masked import MaskedMatrix
 
-STREAM_NAMES = (
-    "row_effects",
-    "col_effects",
-    "row_factors",
-    "col_factors",
-    "noise",
-    "mask",
-)
-
-
 @dataclass(frozen=True)
 class SimulationSpec:
     """Dimensions, noise level, missingness, rank, seed.
@@ -63,25 +53,18 @@ class SimulatedData:
     true_v: np.ndarray
 
 
-def component_streams(seed) -> dict:
-    """Independent PCG64 generators, one per component, derived from seed."""
-    children = np.random.SeedSequence(seed).spawn(len(STREAM_NAMES))
-    return {
-        name: np.random.Generator(np.random.PCG64(child))
-        for name, child in zip(STREAM_NAMES, children)
-    }
-
-
 def generate(spec: SimulationSpec) -> SimulatedData:
     """Draw a dataset; identical specs give bit-identical output."""
-    streams = component_streams(spec.seed)
-    true_r = streams["row_effects"].standard_normal(spec.m)
-    true_c = streams["col_effects"].standard_normal(spec.n)
-    true_u = streams["row_factors"].standard_normal((spec.m, spec.true_rank))
-    true_v = streams["col_factors"].standard_normal((spec.n, spec.true_rank))
+    row_effects, col_effects, row_factors, col_factors, noise, mask_draws = (
+        np.random.Generator(np.random.PCG64(child))
+        for child in np.random.SeedSequence(spec.seed).spawn(6))
+    true_r = row_effects.standard_normal(spec.m)
+    true_c = col_effects.standard_normal(spec.n)
+    true_u = row_factors.standard_normal((spec.m, spec.true_rank))
+    true_v = col_factors.standard_normal((spec.n, spec.true_rank))
     mu = true_r[:, None] + true_c[None, :] + true_u @ true_v.T
-    x_full = mu + spec.sigma * streams["noise"].standard_normal((spec.m, spec.n))
-    missing = streams["mask"].random((spec.m, spec.n)) < spec.na_portion
+    x_full = mu + spec.sigma * noise.standard_normal((spec.m, spec.n))
+    missing = mask_draws.random((spec.m, spec.n)) < spec.na_portion
     mask = ~missing
     return SimulatedData(
         x=MaskedMatrix(x_full, mask),

@@ -510,13 +510,18 @@ class TestExitCodes:
             (["icc", "--out", "icc.json"], "", "need at least 2 distinct groups, got 0"),
             (["icc", "--out", "icc.json"], "a,1\na,2\n", "need at least 2 distinct groups, got 1"),
             (["icc", "--out", "icc.json"], "a,1\nb,1\n", "values have zero variance"),
+            (["icc", "--out", "icc.json"], "a,1e308\na,1.5e308\nb,-1e308\nb,-1.7e308\n",
+             "values overflow: mean inf, variance inf"),
+            (["expectiles", "--taus", "0.9", "--out", "curves.csv"], "1.7e308,-1.7e308,1.7e308\n",
+             "values overflow: expectile iterate inf"),
         ],
         ids=["matrix", "records", "icc", "icc-nan", "icc-inf", "icc-minus-inf",
              "expectiles-bad-cell", "matrix-multi-line", "icc-multi-line", "matrix-empty",
              "records-empty", "records-header-only", "matrix-field-limit", "records-field-limit",
              "fit-zero-variance", "fit-overflow", "tau-sweep-zero-variance",
              "resilience-zero-variance", "fit-one-observed", "expectiles-empty-row",
-             "ingest-all-sparse", "icc-no-groups", "icc-one-group", "icc-zero-variance"],
+             "ingest-all-sparse", "icc-no-groups", "icc-one-group", "icc-zero-variance",
+             "icc-overflow", "expectiles-overflow"],
     )
     def test_data_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)
@@ -633,12 +638,15 @@ class TestExitCodes:
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--ranks", 1.5, "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"],
              "expected comma-separated ints, got '1.5'"),
+            (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--algorithms", ",",
+              "--trials", 1, "--out-csv", "out.csv", "--out-json", "out.json"],
+             "expected comma-separated algorithm names, got ','"),
             (["ingest", "--input", "X.csv", "--output", "out.csv", "--labels", "labels.csv"], None),
             (["bench", "rank-sweep", "--rows", 20, "--cols", 20, "--tau", 0.5, "--trials", 1,
               "--out-csv", "out.csv", "--out-json", "out.json"], None),
         ],
         ids=["unknown-option", "unknown-command", "tau-sweep-taus", "rank-sweep-ranks",
-             "ingest-output", "rank-sweep-tau"],
+             "rank-sweep-algorithms", "ingest-output", "rank-sweep-tau"],
     )
     def test_malformed_option_is_one(self, sim_csv, tmp_path, monkeypatch, capsys, argv,
                                      message):
@@ -695,6 +703,7 @@ class TestExitCodes:
             ("--model", lambda m: json.dumps({**m, "tau": 10**400})),
             ("--warm-start", lambda m: with_normalization(m, mean=10**400)),
             ("--model", lambda m: json.dumps({**m, "r": [10**400] + m["r"][1:]})),
+            ("--model", lambda m: json.dumps({**m, "v": [1.7e308, -1.7e308] * 2 + m["v"][4:]})),
         ],
         ids=["std-zero", "std-missing", "not-json", "model-without-p", "warm-start-short-u",
              "model-without-normalization", "model-nan-u", "warm-start-nan-u", "nan-row-mean",
@@ -705,7 +714,7 @@ class TestExitCodes:
              "model-tau-7", "model-tau-true", "warm-start-tau-0", "model-tau-string",
              "model-std-true", "warm-start-mean-string", "model-r-strings",
              "warm-start-u-booleans", "model-u-nested", "model-tau-huge",
-             "warm-start-mean-huge", "model-r-huge"],
+             "warm-start-mean-huge", "model-r-huge", "model-v-overflow"],
     )
     def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
         model_path = tmp_path / "model.json"

@@ -53,6 +53,12 @@ class TestScalarExpectile:
         with pytest.raises(ValueError):
             scalar_expectile([1.0, np.inf], 0.5)
 
+    def test_overflowing_sum_rejected(self):
+        # the weighted sum of the first iterate overflows; the mean of the sample,
+        # which a stopping test on inf <= inf would return, is not its 0.9 expectile
+        with pytest.raises(ExpectileMFError, match=r"^values overflow: expectile iterate inf$"):
+            scalar_expectile([1.7e308, -1.7e308, 1.7e308], 0.9)
+
     def test_oracle_equivalence_100_random_samples(self, rng):
         for _ in range(100):
             size = int(rng.integers(1, 51))

@@ -63,11 +63,6 @@ class TestMaskedMatrix:
         assert x.observed_count() == 11
         assert x.observed_values().size == 11
 
-    def test_to_dense_puts_nan_at_unobserved_cells(self):
-        x = MaskedMatrix([[1.0, 0.0], [0.0, 4.0]], [[True, False], [False, True]])
-        back = x.to_dense()
-        assert np.isnan(back[0, 1]) and back[1, 1] == 4.0
-
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
     def test_non_finite_observed_cell_rejected_with_location(self, bad):
         values = np.zeros((3, 4))

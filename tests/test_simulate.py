@@ -1,8 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from expectile_mf import SimulationSpec, generate, normalize
-from expectile_mf.simulate import component_streams
 from oracles import mean_matrix, residual_noise_std
 
 
@@ -82,13 +83,15 @@ class TestGenerate:
         assert abs(obs_mean - all_mean) < 4.0 * pooled_sd
 
     def test_streams_are_stable_across_call_order(self):
-        # drawing the noise stream first must not change the mask stream
-        s1 = component_streams(42)
-        s2 = component_streams(42)
-        _ = s2["noise"].standard_normal(1000)
-        a = s1["mask"].random(50)
-        b = s2["mask"].random(50)
-        assert np.array_equal(a, b)
+        # each component draws from its own stream: changing how the noise or
+        # the mask is used leaves every other component's draws unchanged
+        spec = SimulationSpec(m=30, n=24, seed=42)
+        base = generate(spec)
+        noiseless = generate(replace(spec, sigma=0.0))
+        for sim in (noiseless, generate(replace(spec, na_portion=0.6))):
+            for name in ("true_r", "true_c", "true_u", "true_v"):
+                assert np.array_equal(getattr(sim, name), getattr(base, name))
+        assert np.array_equal(noiseless.x.mask, base.x.mask)
 
 
 class TestResidualNoiseStd:
