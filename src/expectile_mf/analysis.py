@@ -83,10 +83,13 @@ class PairStudyResult:
 
 
 def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairStudyResult:
-    """Fit n_trials times from distinct factor seeds and compare all pairs.
+    """Fit n_trials times from distinct random starts and compare all pairs.
 
-    MAD between two trials is the mean absolute difference of their fitted
-    matrices over the observed cells of x.
+    Trial i starts from initial_model's draw from the first child of
+    SeedSequence(seed_i), seed_i being the i-th of derive_seeds(config.seed,
+    n_trials), and not from fit's spectral start, which every trial would
+    share. MAD between two trials is the mean absolute difference of their
+    fitted matrices over the observed cells of x.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
@@ -94,7 +97,9 @@ def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairSt
     col_means = masked_col_means(x)
     losses, fits = [], []
     for seed in derive_seeds(config.seed, n_trials):
-        report = fit(x, row_means, col_means, replace(config, seed=seed, n_restarts=1))
+        start = initial_model(row_means, col_means, config.k,
+                              np.random.SeedSequence(seed).spawn(1)[0])
+        report = fit(x, row_means, col_means, replace(config, n_restarts=1, warm_start=start))
         losses.append(report.final_loss)
         fits.append(fitted_matrix(report.model))
     losses = np.array(losses)

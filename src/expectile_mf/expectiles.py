@@ -65,6 +65,8 @@ def marginal_expectile_curves(x: MaskedMatrix, taus) -> np.ndarray:
         obs = x.values[i, x.mask[i]]
         if obs.size == 0:
             raise ExpectileMFError(f"row {i} has no observed entries")
-        for j, t in enumerate(tau_values):
-            out[i, j] = scalar_expectile(obs, t)
+        try:
+            out[i] = [scalar_expectile(obs, t) for t in tau_values]
+        except ExpectileMFError as exc:
+            raise ExpectileMFError(f"row {i}: {exc}") from None
     return out

@@ -1,11 +1,14 @@
 """End-to-end fit orchestration.
 
 A fit seeds the additive terms with the row/column means of the normalized
-data, draws the factors from a standard normal stream, minimizes the
-asymmetric loss (handing the optimizer the loss's Jacobi diagonal, which
-lbfgs and bfgs use to scale their steps), canonicalizes the winner, and
-optionally fixes the rank-1 sign at a pivot row. Sweeps over tau anchor at
-tau = 0.5 and warm-start the other levels from that solution.
+data. Restart 0 takes its factors from the top singular triplets of the
+zero-filled residual (the spectral start, a deterministic function of the
+data and k); restarts 1 and later draw them from seeded standard normal
+streams. Each restart minimizes the asymmetric loss (handing the optimizer
+the loss's Jacobi diagonal, which lbfgs and bfgs use to scale their steps);
+the fit canonicalizes the winner and optionally fixes the rank-1 sign at a
+pivot row. Sweeps over tau anchor at tau = 0.5 and warm-start the other
+levels from that solution.
 """
 
 from __future__ import annotations
@@ -51,8 +54,18 @@ class FitReport(OptimizeResult):
     restart_losses: list[float]
 
 
+# Block power iterations of the spectral start. On 18 MCAR, col-block and
+# shared-night masks (200x200 and 288x400, 60% missing), lbfgs fits from starts
+# taken with 1 or 2 iterations stopped at max_iters in some cases, and from 4,
+# 8 or 16 all met the gradient tolerance within 18 iterations; 8 keeps twice
+# the smallest count that worked. Each iteration is two n x p x k products: at
+# 288x2000 the whole start takes ~7 ms, a full SVD ~100 ms (one BLAS thread).
+SPECTRAL_POWER_ITERS = 8
+
+
 def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
-    """Additive terms from the data means, factors i.i.d. standard normal.
+    """Additive terms from the data means, factors i.i.d. standard normal: the
+    start of restarts 1 and later, and of the seeded studies.
 
     The factor entries are drawn as one flat vector, which takes the place of
     u and v in the flat parameter layout that unflatten reads.
@@ -61,6 +74,37 @@ def initial_model(row_means, col_means, k: int, seed) -> FactorModel:
     gen = np.random.Generator(np.random.PCG64(seed))
     return unflatten(np.concatenate([row_means, col_means, gen.standard_normal((n + p) * k)]),
                      n, p, k)
+
+
+def spectral_model(x: MaskedMatrix, row_means, col_means, k: int) -> FactorModel:
+    """Additive terms from the data means, factors from the top k singular
+    triplets of the residual: the start of restart 0.
+
+    The residual R holds x - r 1' - 1 c' at observed cells and 0 elsewhere,
+    divided by the observed share, and u = U_k sqrt(S_k), v = V_k sqrt(S_k).
+    The triplets come from SPECTRAL_POWER_ITERS block power iterations from a
+    fixed random block and a k x k SVD, so the start depends on x and k only.
+    u and v are products with R, so a row or column with no observed cell
+    gets a factor row of exactly 0. A factor column whose singular value is at
+    or below numerical rank (a residual of rank below k, or k above min(n, p))
+    is exactly 0: a stationary point for that column.
+    """
+    n, p = x.n_rows, x.n_cols
+    resid = x.values - row_means[:, None]
+    resid -= col_means
+    resid *= x.mask
+    resid /= x.observed_count() / resid.size
+    q = np.linalg.qr(np.random.default_rng(0).standard_normal((p, k)))[0]
+    for _ in range(SPECTRAL_POWER_ITERS):
+        q = np.linalg.qr(resid.T @ np.linalg.qr(resid @ q)[0])[0]
+    block = resid @ q  # = P T, so the triplets are P W, s and q Z for T = W S Z'
+    _, s, zt = np.linalg.svd(np.linalg.qr(block)[1])
+    s = np.where(s > s[0] * max(n, p) * np.finfo(float).eps, s, 0.0)
+    half = np.sqrt(s) / np.where(s > 0.0, s, 1.0)  # 1 / sqrt(s), or 0 at s = 0
+    u = (block @ zt.T) * half  # P W S / sqrt(S)
+    v = (resid.T @ u) * half**2  # R' U_k = V_k S
+    pad = ((0, 0), (0, k - s.size))  # R has min(n, p) triplets; factor columns past them are 0
+    return FactorModel(row_means, col_means, np.pad(u, pad), np.pad(v, pad))
 
 
 def check_warm_start(model: FactorModel, n: int, p: int, k: int) -> None:
@@ -75,9 +119,12 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     """Best-of-restarts fit of the factor model to normalized data, whose scale
     it does not check.
 
-    A warm start overrides every initialization (including the additive
-    terms) and runs a single optimization. Restart winners
-    are chosen by final loss with ties broken by restart index.
+    Restart 0 starts from spectral_model and restart i >= 1 from
+    initial_model's draw from the i-th child of SeedSequence(config.seed), so
+    the seed changes only fits with n_restarts > 1. A warm start overrides
+    every initialization (including the additive terms) and runs a single
+    optimization. Restart winners are chosen by final loss with ties broken
+    by restart index.
     """
     n, p, k = x.n_rows, x.n_cols, config.k
     if config.orient_pivot is not None and not 0 <= config.orient_pivot < n:
@@ -95,8 +142,8 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
         starts = [flatten(config.warm_start)]
     else:
         children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
-        starts = [
-            flatten(initial_model(row_means, col_means, k, child)) for child in children
+        starts = [flatten(spectral_model(x, row_means, col_means, k))] + [
+            flatten(initial_model(row_means, col_means, k, child)) for child in children[1:]
         ]
 
     opts = replace(config.opts, diagonal=objective.diagonal)

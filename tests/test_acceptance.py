@@ -535,3 +535,78 @@ def test_criterion_10_cli_determinism(tmp_path):
         + (f"; mismatches: {mismatches}" if mismatches else ""),
         ok,
     )
+
+
+# ---------------------------------------------------------------------------
+# 11. structured missingness
+# ---------------------------------------------------------------------------
+
+
+def planted_masks(m, n, seed):
+    """MCAR, col-block and shared-night masks (True = observed) at ~60% missing.
+
+    Drawn in this order from one generator. MCAR drops each cell with
+    probability 0.6. col-block drops one circular run of 40-80% of the rows
+    in every column, like a device that is off for part of each day.
+    shared-night drops 10% of cells at random, then the first 60% of the
+    rows in ~90% of the columns: most person-days share one gap.
+    """
+    rng = np.random.default_rng(1000 + seed)
+    mcar = rng.random((m, n)) >= 0.6
+    col_block = np.ones((m, n), dtype=bool)
+    for j in range(n):
+        length = int(rng.uniform(0.4, 0.8) * m)
+        start = rng.integers(m)
+        col_block[(start + np.arange(length)) % m, j] = False
+    night = rng.random((m, n)) >= 0.1
+    night[: int(0.6 * m), rng.random(n) < 0.9] = False
+    return {"mcar": mcar, "col-block": col_block, "shared-night": night}
+
+
+# Both the default fit and the reference stop at grad_tol = 1e-6 short of their
+# own minimum, so their losses differ by the two stopping gaps even where they
+# reach the same minimum. lbfgs's gap (loss at grad_tol 1e-6 over the loss at
+# 1e-9) read 6.9e-10 to 7.3e-7 relative on well-specified fits, and default
+# fits read up to 1.1e-6 relative to this reference on data seeds 0-4. A fit
+# caught in a bad basin reads 1.35x the reference or more. 1e-4 sits ~90x above
+# those gaps and ~3,500x below a bad basin.
+STRUCTURED_LOSS_RTOL = 1e-4
+# Fitted values at unobserved cells over the largest |observed| value, on the
+# normalized scale. A fit at the reference loss extrapolates a surface that
+# stays within the data's range: <= 1.25 over 80 spectral and random-start fits
+# on data seeds 0-7. The 16 random-start fits among them that stopped in a bad
+# basin read 462 or more. 10 leaves 8x over the first and 46x under the second.
+FITTED_RANGE_BOUND = 10.0
+
+
+def test_criterion_11_structured_missingness():
+    started = time.perf_counter()
+    worst_loss = worst_range = 0.0
+    failures = []
+    for m, n, rank in ((288, 400, 1), (200, 200, 2)):
+        for seed in (5, 6, 7):
+            sim = generate(SimulationSpec(m=m, n=n, sigma=0.3, na_portion=0.0,
+                                          true_rank=rank, seed=seed))
+            for name, mask in planted_masks(m, n, seed).items():
+                xn, info = normalize(MaskedMatrix(np.where(mask, sim.x.values, 0.0), mask))
+                planted = FactorModel((sim.true_r - info.mean) / info.std, sim.true_c / info.std,
+                                      sim.true_u / info.std, sim.true_v)
+                reference = fit(xn, info.row_means, info.col_means, FitConfig(
+                    tau=0.5, k=rank, opts=OptimizeOptions(max_iters=5000), warm_start=planted))
+                default = fit(xn, info.row_means, info.col_means, FitConfig(tau=0.5, k=rank))
+                rel = default.final_loss / reference.final_loss - 1.0
+                fitted = fitted_matrix(default.model)
+                ratio = float(np.abs(fitted[~mask]).max() / np.abs(xn.values[mask]).max())
+                worst_loss, worst_range = max(worst_loss, rel), max(worst_range, ratio)
+                if rel > STRUCTURED_LOSS_RTOL or ratio > FITTED_RANGE_BOUND:
+                    failures.append(f"{m}x{n} seed {seed} {name}: loss +{rel:.2e}, "
+                                    f"range {ratio:.3g}, {default.status}")
+    elapsed = time.perf_counter() - started
+    ok = not failures and elapsed < 120.0
+    assert report(
+        11,
+        f"18 default fits on MCAR, col-block and shared-night masks: loss over reference "
+        f"<= +{worst_loss:.2e} (<= {STRUCTURED_LOSS_RTOL:g}), fitted range <= {worst_range:.3g} "
+        f"(<= {FITTED_RANGE_BOUND:g}), {elapsed:.0f}s" + (f"; {failures}" if failures else ""),
+        ok,
+    )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -11,13 +13,18 @@ from expectile_mf import (
     SimulationSpec,
     band_curves,
     compare_algorithms,
+    fit,
     generate,
     icc,
     init_resilience,
+    initial_model,
+    masked_col_means,
+    masked_row_means,
     normalize,
     rank_sweep,
 )
 from expectile_mf import analysis
+from expectile_mf.util import derive_seeds
 from oracles import icc_two_pass
 
 
@@ -142,6 +149,20 @@ class TestInitResilience:
         b = init_resilience(xn, FitConfig(tau=0.5, k=1, seed=3), 3)
         assert np.array_equal(a.loss_diff, b.loss_diff)
         assert np.array_equal(a.mad, b.mad)
+
+    def test_trials_start_from_seeded_random_draws(self):
+        # Each trial fits from initial_model's draw from the first child of its
+        # seed, not from fit's spectral start, so the trials start apart.
+        sim = generate(tiny_spec(1))
+        xn, _ = normalize(sim.x)
+        config = FitConfig(tau=0.3, k=2, seed=3)
+        res = init_resilience(xn, config, 2)
+        rm, cm = masked_row_means(xn), masked_col_means(xn)
+        losses = [fit(xn, rm, cm, replace(config, warm_start=initial_model(
+                      rm, cm, 2, np.random.SeedSequence(seed).spawn(1)[0]))).final_loss
+                  for seed in derive_seeds(3, 2)]
+        assert res.loss_diff[0, 1] == abs(losses[0] - losses[1])
+        assert res.mad[0, 1] > 0.0
 
     def test_needs_two_trials(self):
         sim = generate(tiny_spec())

@@ -114,6 +114,14 @@ class TestFit:
         value = loss_and_gradient(model, xn, tau)
         assert abs(value.loss - report["final_loss"]) < 1e-12
 
+    def test_one_restart_fit_does_not_depend_on_seed(self, sim_csv, tmp_path):
+        # restart 0 starts from the data's spectral start, and --seed draws only
+        # the starts of restarts 1 and later
+        for seed in (1, 2):
+            assert run(["fit", "--input", sim_csv, "--rank", 2, "--seed", seed,
+                        "--output", tmp_path / f"seed{seed}.json"]) == 0
+        assert (tmp_path / "seed1.json").read_bytes() == (tmp_path / "seed2.json").read_bytes()
+
     def test_warm_start_round_trip(self, sim_csv, tmp_path):
         first = tmp_path / "m1.json"
         second = tmp_path / "m2.json"
@@ -513,7 +521,9 @@ class TestExitCodes:
             (["icc", "--out", "icc.json"], "a,1e308\na,1.5e308\nb,-1e308\nb,-1.7e308\n",
              "values overflow: mean inf, variance inf"),
             (["expectiles", "--taus", "0.9", "--out", "curves.csv"], "1.7e308,-1.7e308,1.7e308\n",
-             "values overflow: expectile iterate inf"),
+             "row 0: values overflow: expectile iterate inf"),
+            (["expectiles", "--taus", "0.9", "--out", "curves.csv"],
+             "1,2,3\n1.7e308,-1.7e308,1.7e308\n", "row 1: values overflow: expectile iterate inf"),
         ],
         ids=["matrix", "records", "icc", "icc-nan", "icc-inf", "icc-minus-inf",
              "expectiles-bad-cell", "matrix-multi-line", "icc-multi-line", "matrix-empty",
@@ -521,7 +531,7 @@ class TestExitCodes:
              "fit-zero-variance", "fit-overflow", "tau-sweep-zero-variance",
              "resilience-zero-variance", "fit-one-observed", "expectiles-empty-row",
              "ingest-all-sparse", "icc-no-groups", "icc-one-group", "icc-zero-variance",
-             "icc-overflow", "expectiles-overflow"],
+             "icc-overflow", "expectiles-overflow", "expectiles-overflow-second-row"],
     )
     def test_data_error_names_file(self, tmp_path, monkeypatch, capsys, command, text, message):
         monkeypatch.chdir(tmp_path)

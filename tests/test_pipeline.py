@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,91 @@ class TestInitialModel:
         c = initial_model(rm, cm, 2, seed=8)
         assert np.array_equal(a.u, b.u)
         assert not np.array_equal(a.u, c.u)
+
+
+class TestSpectralStart:
+    def test_one_restart_fit_ignores_the_seed(self):
+        xn, info = small_normalized_data(seed=12)
+        a, b = (fit(xn, info.row_means, info.col_means, FitConfig(tau=0.3, k=2, seed=seed))
+                for seed in (1, 2))
+        assert (a.iterations, a.function_evals, a.final_loss) == (
+            b.iterations, b.function_evals, b.final_loss)
+        for part in "rcuv":
+            assert np.array_equal(getattr(a.model, part), getattr(b.model, part))
+
+    def test_later_restarts_start_from_seeded_draws(self):
+        xn, info = small_normalized_data(seed=13)
+        config = FitConfig(tau=0.4, k=1, seed=17, n_restarts=3)
+        report = fit(xn, info.row_means, info.col_means, config)
+        children = np.random.SeedSequence(17).spawn(3)
+        warm = [fit(xn, info.row_means, info.col_means,
+                    replace(config, n_restarts=1,
+                            warm_start=initial_model(info.row_means, info.col_means, 1, child)))
+                for child in children[1:]]
+        assert report.restart_losses[1:] == [w.final_loss for w in warm]
+        start = pipeline.spectral_model(xn, info.row_means, info.col_means, 1)
+        spectral = fit(xn, info.row_means, info.col_means, replace(config, n_restarts=1,
+                                                                    warm_start=start))
+        assert report.restart_losses[0] == spectral.final_loss
+
+    def test_empty_row_and_column_start_at_zero(self):
+        rng = np.random.default_rng(3)
+        mask = rng.random((12, 9)) < 0.7
+        mask[5, :] = False
+        mask[:, 4] = False
+        x = MaskedMatrix(np.where(mask, rng.normal(size=(12, 9)), 0.0), mask)
+        start = pipeline.spectral_model(x, masked_row_means(x), masked_col_means(x), 2)
+        assert np.all(start.u[5] == 0.0) and np.all(start.v[4] == 0.0)
+        assert np.all(np.abs(start.u[mask.any(axis=1)]).sum(axis=1) > 0.0)
+        assert np.all(np.abs(start.v[mask.any(axis=0)]).sum(axis=1) > 0.0)
+
+    @pytest.mark.parametrize("na, rtol", [(0.0, 1e-12), (0.4, 0.02)])
+    def test_factors_are_the_residual_triplets(self, na, rtol):
+        # Fully observed, the residual of rank-2 data with little noise has a wide
+        # gap after its second singular value, so the power iterations converge to
+        # rounding. At 40% missing the zero-filled cells narrow it to s3 / s2 =
+        # 0.68, and 8 iterations leave an error of order 0.68^16 = 2e-3.
+        xn, info = small_normalized_data(seed=14, true_rank=2, na=na)
+        start = pipeline.spectral_model(xn, info.row_means, info.col_means, 2)
+        assert np.array_equal(start.r, info.row_means) and np.array_equal(start.c, info.col_means)
+        resid = np.where(xn.mask, xn.values - info.row_means[:, None] - info.col_means, 0.0)
+        resid /= xn.mask.mean()
+        u_svd, s, vt = np.linalg.svd(resid)
+        np.testing.assert_allclose(np.linalg.norm(start.u, axis=0) ** 2, s[:2], rtol=rtol)
+        np.testing.assert_allclose(np.linalg.norm(start.v, axis=0) ** 2, s[:2], rtol=rtol)
+        truncated = (u_svd[:, :2] * s[:2]) @ vt[:2]
+        error = np.linalg.norm(start.u @ start.v.T - truncated) / np.linalg.norm(truncated)
+        assert error <= rtol, error
+
+    def test_rank_below_k_starts_a_zero_column_and_still_fits(self):
+        # r 1' + 1 c' + u v' with mean(r) + mean(c) = 0 and zero-mean u and v,
+        # less its row and column means, is u v', of rank 1, so the k = 2 start has
+        # a zero second factor column: a stationary point for that column.
+        x = MaskedMatrix([[2.5, -1.5], [-0.5, -0.5]], np.ones((2, 2), dtype=bool))
+        row_means, col_means = masked_row_means(x), masked_col_means(x)
+        start = pipeline.spectral_model(x, row_means, col_means, 2)
+        assert np.all(start.u[:, 1] == 0.0) and np.all(start.v[:, 1] == 0.0)
+        assert np.all(start.u[:, 0] != 0.0)
+        with pytest.warns(UserWarning, match="u column 1 has norm 0; left unscaled"):
+            report = fit(x, row_means, col_means, FitConfig(tau=0.5, k=2))
+        random = fit(x, row_means, col_means, FitConfig(
+            tau=0.5, k=2, warm_start=initial_model(row_means, col_means, 2, seed=1)))
+        assert report.status == random.status == "grad_tolerance_met"
+        assert report.final_loss <= random.final_loss + 1e-12
+
+    def test_rank_above_the_matrix_pads_zero_columns(self):
+        # Fully observed normalized data have grand mean 0, so the residual is
+        # doubly centered, of rank min(n, p) - 1 = 2: column 2 is zero by numerical
+        # rank, and column 3 has no triplet at all.
+        xn, info = small_normalized_data(seed=15, m=5, n=3, na=0.0)
+        start = pipeline.spectral_model(xn, info.row_means, info.col_means, 4)
+        assert start.u.shape == (5, 4) and start.v.shape == (3, 4)
+        assert np.all(start.u[:, 2:] == 0.0) and np.all(start.v[:, 2:] == 0.0)
+        with pytest.warns(UserWarning) as record:
+            report = fit(xn, info.row_means, info.col_means, FitConfig(tau=0.5, k=4))
+        assert [str(w.message) for w in record] == [
+            f"u column {j} has norm 0; left unscaled" for j in (2, 3)]
+        assert report.status == "grad_tolerance_met"
 
 
 class TestFit:
