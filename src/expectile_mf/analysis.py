@@ -22,7 +22,7 @@ from .pipeline import FitConfig, fit, initial_model
 from .simulate import SimulationSpec, generate
 from .util import derive_seeds
 
-ALGORITHM_ORDER = ALGORITHMS
+ALGORITHM_ORDER = ALGORITHMS  # perfbench reads this alias; remove when perfbench next changes
 
 
 def icc(values, group_ids) -> float:
@@ -88,21 +88,20 @@ def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairSt
     Trial i starts from initial_model's draw from the first child of
     SeedSequence(seed_i), seed_i being the i-th of derive_seeds(config.seed,
     n_trials), and not from fit's spectral start, which every trial would
-    share. MAD between two trials is the mean absolute difference of their
-    fitted matrices over the observed cells of x.
+    share. The trials race as one algorithm, config.opts.algorithm; of config
+    only tau, k, opts and seed are read. MAD between two trials is the mean
+    absolute difference of their fitted matrices over the observed cells of x.
     """
     if n_trials < 2:
         raise ValueError("n_trials must be >= 2")
     row_means = masked_row_means(x)
     col_means = masked_col_means(x)
-    losses, fits = [], []
-    for seed in derive_seeds(config.seed, n_trials):
-        start = initial_model(row_means, col_means, config.k,
-                              np.random.SeedSequence(seed).spawn(1)[0])
-        report = fit(x, row_means, col_means, replace(config, n_restarts=1, warm_start=start))
-        losses.append(report.final_loss)
-        fits.append(fitted_matrix(report.model))
-    losses = np.array(losses)
+    starts = [initial_model(row_means, col_means, config.k, np.random.SeedSequence(s).spawn(1)[0])
+              for s in derive_seeds(config.seed, n_trials)]
+    [(_, reports)] = _race(x, row_means, col_means, config.tau, starts, [config.opts.algorithm],
+                           config.opts)
+    losses = np.array([report.final_loss for report in reports])
+    fits = [fitted_matrix(report.model) for report in reports]
     t = n_trials
     loss_diff = np.abs(losses[:, None] - losses[None, :])
     mad = np.zeros((t, t))
@@ -114,12 +113,12 @@ def init_resilience(x: MaskedMatrix, config: FitConfig, n_trials: int) -> PairSt
     return PairStudyResult(loss_diff=loss_diff, mad=mad)
 
 
-def _race(xn: MaskedMatrix, info: NormalizationInfo, tau, starts, algorithms, opts):
+def _race(xn: MaskedMatrix, row_means, col_means, tau, starts, algorithms, opts):
     """Yield (algorithm, reports): each algorithm in turn fits every shared start."""
     for algo in algorithms:
         algo_opts = replace(opts, algorithm=algo)
         yield algo, [
-            fit(xn, info.row_means, info.col_means,
+            fit(xn, row_means, col_means,
                 FitConfig(tau=tau, k=start.k, opts=algo_opts, warm_start=start))
             for start in starts
         ]
@@ -141,7 +140,7 @@ def compare_algorithms(
     tau: float,
     k: int,
     opts: "OptimizeOptions | None" = None,
-    algorithms=ALGORITHM_ORDER,
+    algorithms=ALGORITHMS,
     threads: int = 1,  # perfbench passes threads=1; remove when perfbench next changes
 ) -> AlgoComparison:
     """Race the optimizers over fresh datasets with shared initializations.
@@ -163,7 +162,8 @@ def compare_algorithms(
         starts = [initial_model(info.row_means, info.col_means, k, s)
                   for s in derive_seeds(d_seed, n_inits)]
         row = {"dataset": d_index}
-        for algo, reports in _race(xn, info, tau, starts, algorithms, base_opts):
+        for algo, reports in _race(xn, info.row_means, info.col_means, tau, starts, algorithms,
+                                    base_opts):
             row[f"{algo}_loss"] = min(rep.final_loss for rep in reports)
             row[f"{algo}_seconds"] = sum(rep.elapsed_seconds for rep in reports)
             row[f"{algo}_iterations"] = sum(rep.iterations for rep in reports)
@@ -235,7 +235,8 @@ def rank_sweep(
         for tau in taus:
             for rank in ranks:
                 start = initial_model(info.row_means, info.col_means, rank, init_seed)
-                for algo, (report,) in _race(xn, info, tau, [start], algorithms, base_opts):
+                for algo, (report,) in _race(xn, info.row_means, info.col_means, tau, [start],
+                                            algorithms, base_opts):
                     rec = {"trial": t_index, "tau": tau, "rank": rank, "algorithm": algo,
                            "loss": report.final_loss, "iterations": report.iterations,
                            "seconds": report.elapsed_seconds}

@@ -44,9 +44,9 @@ from .masked import (
     read_matrix_csv,
     write_matrix_csv,
 )
-from .model import model_from_dict, model_to_dict
+from .model import check_shape, model_from_dict, model_to_dict
 from .optim import ALGORITHMS, STATUS_GRAD_TOL, OptimizeOptions
-from .pipeline import FitConfig, FitReport, check_warm_start, fit, tau_sweep
+from .pipeline import FitConfig, FitReport, fit, tau_sweep
 from .simulate import SimulationSpec, generate
 
 DEFAULT_SEED = 20160229
@@ -130,6 +130,19 @@ _sim_spec_options = [
     click.option("--na", type=float, default=0.3, show_default=True),
     _seed_option,
 ]
+_stop_options = [
+    click.option("--grad-tol", type=float, default=1e-6, show_default=True),
+    click.option("--max-iters", type=int, default=500, show_default=True),
+]
+_study_output_options = [
+    click.option("--out-csv", type=click.Path(), required=True),
+    click.option("--out-json", type=click.Path(), required=True),
+]
+
+
+def _sim_spec(rows, cols, true_rank, sigma, na, seed) -> SimulationSpec:
+    return SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na, true_rank=true_rank,
+                          seed=seed)
 
 
 @click.group()
@@ -147,10 +160,9 @@ def cli():
 @cli.command()
 @_with_options(_sim_spec_options)
 @click.option("--out", type=click.Path(), required=True, help="Matrix CSV path.")
-def simulate(rows, cols, true_rank, sigma, na, seed, out):
+def simulate(out, **sim_options):
     """Generate a seeded synthetic matrix plus a JSON sidecar of the truth."""
-    spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na, true_rank=true_rank,
-                          seed=seed)
+    spec = _sim_spec(**sim_options)
     sim = generate(spec)
     out = Path(out)
     write_matrix_csv(sim.x, out)
@@ -174,17 +186,15 @@ def simulate(rows, cols, true_rank, sigma, na, seed, out):
 # ---------------------------------------------------------------------------
 
 
-def _fit_config(n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
-                orient_pivot, warm=None) -> FitConfig:
-    """FitConfig from the shared fit options; a rank-1 fit of SEGMENTS_PER_DAY
-    rows pivots on row ORIENT_PIVOT_288."""
+def _fit_config(n_rows, tau, warm=None, *, rank, algorithm, restarts, seed, grad_tol, max_iters,
+                orient_pivot) -> FitConfig:
+    """FitConfig from the parsed _fit_options other than --input; a rank-1 fit
+    of SEGMENTS_PER_DAY rows pivots on row ORIENT_PIVOT_288."""
     if orient_pivot is None and n_rows == SEGMENTS_PER_DAY and rank == 1:
         orient_pivot = ORIENT_PIVOT_288
-    return FitConfig(
-        tau=tau, k=rank,
-        opts=OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters),
-        n_restarts=restarts, seed=seed, orient_pivot=orient_pivot, warm_start=warm,
-    )
+    opts = OptimizeOptions(algorithm=algorithm, grad_tol=grad_tol, max_iters=max_iters)
+    return FitConfig(tau=tau, k=rank, opts=opts, n_restarts=restarts, seed=seed,
+                     orient_pivot=orient_pivot, warm_start=warm)
 
 
 def _read_normalized(path):
@@ -211,8 +221,7 @@ _fit_options = [
     click.option("--algorithm", type=click.Choice(ALGORITHMS), default="lbfgs", show_default=True),
     click.option("--restarts", type=int, default=1, show_default=True),
     _seed_option,
-    click.option("--grad-tol", type=float, default=1e-6, show_default=True),
-    click.option("--max-iters", type=int, default=500, show_default=True),
+    *_stop_options,
     click.option("--orient-pivot", type=int, default=None,
                  help="Rank-1 sign pivot row (default 72 for a rank-1 fit of 288 rows)."),
 ]
@@ -223,17 +232,15 @@ _fit_options = [
 @click.option("--tau", type=float, default=0.5, show_default=True)
 @click.option("--warm-start", "warm_start_path", type=click.Path(exists=True), default=None)
 @click.option("--output", type=click.Path(), required=True, help="Model JSON path.")
-def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, orient_pivot,
-            tau, warm_start_path, output):
+def fit_cmd(input_path, tau, warm_start_path, output, **fit_options):
     """Fit one model; writes model JSON plus a report JSON."""
     x, info = _read_normalized(input_path)
     warm = None
     if warm_start_path is not None:
         with open_input(warm_start_path) as fh:
             warm, _, _ = model_from_dict(json.load(fh))
-            check_warm_start(warm, x.n_rows, x.n_cols, rank)
-    config = _fit_config(x.n_rows, tau, rank, algorithm, restarts, seed, grad_tol, max_iters,
-                         orient_pivot, warm)
+            check_shape(warm, x.n_rows, x.n_cols, fit_options["rank"])
+    config = _fit_config(x.n_rows, tau, warm, **fit_options)
     report = fit(x, info.row_means, info.col_means, config)
     output = Path(output)
     outputs = _write_fit(output, output.with_name(output.stem + ".report.json"), tau, report, info)
@@ -245,8 +252,7 @@ def fit_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters, or
 @_with_options(_fit_options)
 @click.option("--taus", default="0.1,0.5,0.9", show_default=True)
 @click.option("--output-dir", type=click.Path(), required=True)
-def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_iters,
-                  orient_pivot, taus, output_dir):
+def tau_sweep_cmd(input_path, taus, output_dir, **fit_options):
     """Fit a list of taus, warm-starting each from the tau = 0.5 solution."""
     tau_values = _parse_list(taus, float, "floats")
     for i, tau in enumerate(tau_values):
@@ -255,8 +261,7 @@ def tau_sweep_cmd(input_path, rank, algorithm, restarts, seed, grad_tol, max_ite
                 raise ValueError(f"taus {other!r} and {tau!r} both write model_tau{tau:g}.json")
         check_tau(tau)
     x, info = _read_normalized(input_path)
-    config = _fit_config(x.n_rows, 0.5, rank, algorithm, restarts, seed, grad_tol, max_iters,
-                         orient_pivot)
+    config = _fit_config(x.n_rows, 0.5, **fit_options)
     reports = tau_sweep(x, info.row_means, info.col_means, config, tau_values)
     out_dir = Path(output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -381,19 +386,12 @@ def bench():
 @click.option("--inits", type=int, default=10, show_default=True)
 @click.option("--tau", type=float, default=0.2, show_default=True)
 @click.option("--rank", type=int, default=3, show_default=True)
-@click.option("--grad-tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--out-csv", type=click.Path(), required=True)
-@click.option("--out-json", type=click.Path(), required=True)
-def compare_algos_cmd(rows, cols, true_rank, sigma, na, seed, datasets,
-                      inits, tau, rank, grad_tol, max_iters, out_csv, out_json):
+@_with_options(_stop_options + _study_output_options)
+def compare_algos_cmd(datasets, inits, tau, rank, grad_tol, max_iters, out_csv, out_json,
+                      **sim_options):
     """Race bfgs/lbfgs/cg over datasets with shared initializations."""
-    spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
-                          true_rank=true_rank, seed=seed)
-    result = compare_algorithms(
-        spec, datasets, inits, tau, rank,
-        opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters),
-    )
+    result = compare_algorithms(_sim_spec(**sim_options), datasets, inits, tau, rank,
+                                opts=OptimizeOptions(grad_tol=grad_tol, max_iters=max_iters))
     _write_records(Path(out_csv), result.per_dataset)
     _write_json(Path(out_json), {"summary": result.summary, "max_loss_spread": result.max_loss_spread})
     _manifest(out_csv, "bench compare-algos", [out_csv, out_json])
@@ -447,17 +445,12 @@ def resilience_cmd(input_path, trials, tau, rank, algorithm, grad_tol,
 @click.option("--taus", default="0.1", show_default=True)
 @click.option("--algorithms", default="lbfgs,cg", show_default=True)
 @click.option("--trials", type=int, default=10, show_default=True)
-@click.option("--grad-tol", type=float, default=1e-6, show_default=True)
-@click.option("--max-iters", type=int, default=500, show_default=True)
-@click.option("--out-csv", type=click.Path(), required=True)
-@click.option("--out-json", type=click.Path(), required=True)
-def rank_sweep_cmd(rows, cols, true_rank, sigma, na, seed, ranks, taus,
-                   algorithms, trials, grad_tol, max_iters, out_csv, out_json):
+@_with_options(_stop_options + _study_output_options)
+def rank_sweep_cmd(ranks, taus, algorithms, trials, grad_tol, max_iters, out_csv, out_json,
+                   **sim_options):
     """Mean loss/iterations/time per (tau, rank, algorithm) over seeded trials."""
-    spec = SimulationSpec(m=rows, n=cols, sigma=sigma, na_portion=na,
-                          true_rank=true_rank, seed=seed)
     result = rank_sweep(
-        spec,
+        _sim_spec(**sim_options),
         _parse_list(taus, float, "floats"),
         _parse_list(ranks, int, "ints"),
         _parse_list(algorithms, str, "algorithm names"),

@@ -120,6 +120,7 @@ def read_records_csv(path) -> list[tuple[str, datetime, float]]:
     return records
 
 
+# Only perfbench's hr_sweep calls this; remove when perfbench next changes.
 def filter_and_normalize(
     pdm: PersonDayMatrix, max_missing_fraction: float
 ) -> tuple[MaskedMatrix, NormalizationInfo, tuple]:

@@ -72,10 +72,11 @@ def fitted_matrix(model: FactorModel) -> np.ndarray:
     return model.r[:, None] + model.c[None, :] + model.u @ model.v.T
 
 
-def _check_dims(model: FactorModel, x: MaskedMatrix) -> None:
-    if (model.n, model.p) != (x.n_rows, x.n_cols):
+def check_shape(model: FactorModel, n: int, p: int, k: int) -> None:
+    """Raise unless the model has the data's n x p and the fit's rank k."""
+    if (model.n, model.p, model.k) != (n, p, k):
         raise ExpectileMFError(
-            f"model is {model.n}x{model.p}, data is {x.n_rows}x{x.n_cols}"
+            f"model is {model.n}x{model.p} rank {model.k}, expected {n}x{p} rank {k}"
         )
 
 
@@ -194,7 +195,7 @@ def loss_and_gradient(model: FactorModel, x: MaskedMatrix, tau: float) -> LossVa
 
     One-off evaluation through Objective; a fit builds its Objective once.
     """
-    _check_dims(model, x)
+    check_shape(model, x.n_rows, x.n_cols, model.k)
     return LossValue(*Objective(x, tau, model.k)(flatten(model)))
 
 
@@ -219,10 +220,11 @@ def unflatten(vec, n: int, p: int, k: int) -> FactorModel:
 def canonicalize(model: FactorModel) -> FactorModel:
     """Identifiability post-processing that preserves the fitted matrix.
 
-    Moves each v-column mean into r, transfers each u-column norm onto the
-    matching v column (norms captured before scaling), then moves the mean
-    of c into r. Result: zero-mean v columns, unit-norm u columns, zero-mean
-    c. A u column with norm below 1e-14 is left unscaled and warned about.
+    For each factor column in turn, moves the v-column mean into r, then
+    transfers the u-column norm onto the v column (norm captured before
+    scaling); then moves the mean of c into r. Result: zero-mean v columns,
+    unit-norm u columns, zero-mean c. A u column with norm below 1e-14 is
+    left unscaled and warned about.
     """
     r = model.r.copy()
     c = model.c.copy()
@@ -232,7 +234,6 @@ def canonicalize(model: FactorModel) -> FactorModel:
         col_mean = float(v[:, j].mean())
         r += u[:, j] * col_mean
         v[:, j] -= col_mean
-    for j in range(model.k):
         norm = float(np.linalg.norm(u[:, j]))
         if norm < ZERO_COLUMN_NORM:
             warnings.warn(f"u column {j} has norm {norm:.3g}; left unscaled")

@@ -8,8 +8,8 @@ positive curvature estimate at the current point (OptimizeOptions.diagonal;
 the fit passes the loss's Jacobi diagonal, so each row, column and factor
 block gets its own scale) and gamma = s'y / y'D^-1 y of the newest pair;
 without a diagonal, D = 1 and this is the textbook gamma*I. bfgs forms no
-d x d matrix: each kept pair costs 16*d bytes, 2.6 MB for the 35 pairs of a
-288x2000, k=1 fit (rank-2 data, tau 0.1) against 168 MB for a dense one.
+d x d matrix: each kept pair costs 16*d bytes, 1.6 MB for the 22 pairs of a
+288x2000, k=1 fit (rank-2 data seed 1, tau 0.1) against 168 MB for a dense one.
 A direction that does not descend restarts the rule from steepest descent.
 Every accepted step passes a strong-Wolfe bracketing search with cubic
 interpolation and fixed constants: c1 = 1e-4, c2 = 0.9 for the quasi-Newton

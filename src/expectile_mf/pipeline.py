@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ExpectileMFError
 from .expectiles import check_tau
 from .masked import MaskedMatrix
-from .model import FactorModel, Objective, canonicalize, flatten, orient_rank1, unflatten
+from .model import FactorModel, Objective, canonicalize, check_shape, flatten, orient_rank1, unflatten
 from .optim import OptimizeOptions, OptimizeResult, minimize
 
 
@@ -107,14 +107,6 @@ def spectral_model(x: MaskedMatrix, row_means, col_means, k: int) -> FactorModel
     return FactorModel(row_means, col_means, np.pad(u, pad), np.pad(v, pad))
 
 
-def check_warm_start(model: FactorModel, n: int, p: int, k: int) -> None:
-    """Raise unless a warm-start model has the fit's shape (n, p, k)."""
-    if (model.n, model.p, model.k) != (n, p, k):
-        raise ExpectileMFError(
-            f"warm start is ({model.n}, {model.p}, {model.k}), expected ({n}, {p}, {k})"
-        )
-
-
 def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     """Best-of-restarts fit of the factor model to normalized data, whose scale
     it does not check.
@@ -138,7 +130,7 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
     objective = Objective(x, config.tau, k)
 
     if config.warm_start is not None:
-        check_warm_start(config.warm_start, n, p, k)
+        check_shape(config.warm_start, n, p, k)
         starts = [flatten(config.warm_start)]
     else:
         children = np.random.SeedSequence(config.seed).spawn(config.n_restarts)
@@ -160,14 +152,14 @@ def fit(x: MaskedMatrix, row_means, col_means, config: FitConfig) -> FitReport:
 def tau_sweep(x: MaskedMatrix, row_means, col_means, config: FitConfig, taus) -> list[FitReport]:
     """Fit a list of asymmetry levels, warm-starting from the tau = 0.5 fit.
 
-    The 0.5 anchor runs with the configured restart budget (even when 0.5 is
-    not among the requested levels); every other level runs once from the
-    anchor solution. Reports come back in the order of taus.
+    The 0.5 anchor runs with the configured restarts or warm start (even when
+    0.5 is not among the requested levels); every other level runs once from
+    the anchor solution. Reports come back in the order of taus.
     """
     tau_values = [check_tau(t) for t in taus]
     if not tau_values:
         raise ValueError("taus must be non-empty")
-    anchor = fit(x, row_means, col_means, replace(config, tau=0.5, warm_start=None))
+    anchor = fit(x, row_means, col_means, replace(config, tau=0.5))
     reports = []
     for t in tau_values:
         if t == 0.5:

@@ -22,7 +22,7 @@ from expectile_mf import (
     bin_records,
     canonicalize,
     compare_algorithms,
-    filter_and_normalize,
+    drop_sparse_columns,
     fit,
     fitted_matrix,
     flatten,
@@ -390,7 +390,9 @@ def test_criterion_09_heart_rate_path():
         np.where(pdm.matrix.mask, pdm.matrix.values, 0.0), np.where(exp_mask, exp_values, 0.0)
     )
 
-    xn, info, kept = filter_and_normalize(pdm, 0.7)
+    filtered, kept_at = drop_sparse_columns(pdm.matrix, 0.7)
+    xn, info = normalize(filtered)
+    kept = [pdm.column_labels[i] for i in kept_at]
     filter_ok = len(kept) == 11 and ("pC", 4) not in {(p, d.day) for p, d in kept}
 
     config = FitConfig(

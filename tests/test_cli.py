@@ -726,7 +726,8 @@ class TestExitCodes:
              "warm-start-u-booleans", "model-u-nested", "model-tau-huge",
              "warm-start-mean-huge", "model-r-huge", "model-v-overflow"],
     )
-    def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, option, bad_text):
+    def test_malformed_json_is_two_naming_file(self, sim_csv, tmp_path, capsys, request, option,
+                                               bad_text):
         model_path = tmp_path / "model.json"
         assert run(["fit", "--input", sim_csv, "--seed", 1, "--max-iters", 20,
                     "--output", model_path]) == 0
@@ -739,7 +740,10 @@ class TestExitCodes:
             argv = ["fit", "--input", sim_csv, option, bad, "--output", out]
         capsys.readouterr()
         assert run(argv) == 2
-        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ")
+        if request.node.callspec.id == "warm-start-rank-2":
+            assert err == f"error: {bad}: model is 30x24 rank 2, expected 30x24 rank 1\n"
         assert not out.exists()
 
     def test_default_pivot_is_rank_one_only(self, tmp_path):

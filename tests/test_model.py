@@ -151,9 +151,9 @@ class TestLossAndGradient:
             assert abs(l1 - l2) < 1e-10 * (1.0 + abs(l1))
 
     def test_dimension_mismatch(self, rng):
-        model, _ = random_instance(rng, n=3, p=4)
+        model, _ = random_instance(rng, n=3, p=4, k=2)
         x = MaskedMatrix(np.zeros((4, 3)), np.ones((4, 3), dtype=bool))
-        with pytest.raises(ExpectileMFError, match="^model is 3x4, data is 4x3$"):
+        with pytest.raises(ExpectileMFError, match="^model is 3x4 rank 2, expected 4x3 rank 2$"):
             loss_and_gradient(model, x, 0.5)
 
     def test_empty_mask(self, rng):

@@ -271,6 +271,15 @@ class TestTauSweep:
         assert means[0] <= means[1] + 1e-6
         assert means[1] <= means[2] + 1e-6
 
+    def test_anchor_starts_from_the_warm_start(self):
+        xn, info = small_normalized_data(seed=5)
+        warm = initial_model(info.row_means, info.col_means, 1, 4)
+        config = FitConfig(tau=0.5, k=1, warm_start=warm)
+        direct = fit(xn, info.row_means, info.col_means, config)
+        [anchor] = tau_sweep(xn, info.row_means, info.col_means, config, [0.5])
+        assert anchor.iterations == direct.iterations
+        assert np.array_equal(anchor.x_final, direct.x_final)
+
     def test_empty_taus_rejected(self):
         xn, info = small_normalized_data(seed=11)
         with pytest.raises(ValueError):
